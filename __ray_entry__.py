@@ -12,7 +12,11 @@ still runs and is still oracle-verified, as a ``which``-tagged slice of a
 folded gate.  Total entries now fit the window with room to spare.
 
 Ray is initialised by the driver BEFORE this module is imported: nothing
-here calls ``ray.init()`` / ``ray.shutdown()``.
+here calls ``ray.init()`` / ``ray.shutdown()``.  The driver must start Ray
+with ``whoosh_reloaded_ray`` importable by the workers (this checkout on
+``PYTHONPATH``, or job-level ``runtime_env={"py_modules": [...]}``): the
+package is shipped to workers by reference, and the ``sys.path`` entry
+below only reaches the driver's own process.
 """
 
 from __future__ import annotations

@@ -64,6 +64,31 @@ def test_ray_executor_matches_local(idx_dir):
     assert local.frequencies([("text", t1)]) == rays.frequencies([("text", t1)])
 
 
+def test_actor_call_args_pickle_by_reference(idx_dir):
+    """A served query ships its AST and ScoreContext to the segment actors
+    by reference: the package's classes are imported on the workers, not
+    pickled into every call.  Results stay equal to the local executor."""
+    import ray
+
+    local = IndexSearcher(idx_dir, executor="local")
+    rays = IndexSearcher(idx_dir, executor="ray", num_actors=2)
+    vocab = _vocab(idx_dir)
+    t1, t2, t3 = vocab[2], vocab[5], vocab[40]
+    for q in (
+        Term("text", t1),
+        And([Term("text", t1), Term("text", t2)]),
+        Or([Term("text", t1), Term("text", t2), Term("text", t3)]),
+        Phrase("text", [t1, t2]),
+    ):
+        rq = rays._rewrite(q)
+        ctx = rays._context(rq)
+        assert len(ray.cloudpickle.dumps((rq, ctx))) < 4096, q
+        a = local.search(q, limit=10)
+        b = rays.search(q, limit=10)
+        np.testing.assert_array_equal(a["docnum"].to_numpy(), b["docnum"].to_numpy())
+        np.testing.assert_allclose(a["score"].to_numpy(), b["score"].to_numpy(), atol=0)
+
+
 def test_ray_executor_facets_and_sorting(idx_dir):
     local = IndexSearcher(idx_dir, executor="local")
     rays = IndexSearcher(idx_dir, executor="ray", num_actors=3)
@@ -152,3 +177,41 @@ def test_distributed_aggregates_match_local(idx_dir):
 
     assert local.facet_counts_range(q, "turn_idx", 0, 10, 2) == \
         rays.facet_counts_range(q, "turn_idx", 0, 10, 2)
+
+
+_IMPORT_RULE_SCRIPT = """
+import ray
+
+ray.init(address="local", num_cpus=4, include_dashboard=False, logging_level="ERROR")
+from whoosh_reloaded_ray.pipelines.build import build_index
+from whoosh_reloaded_ray.query import Or, Term
+from whoosh_reloaded_ray.sources.corpus import generate_transcripts
+from whoosh_reloaded_ray.state.searcher import IndexSearcher
+
+generate_transcripts("t.parquet", n_turns=300, avg_turn_words=20, seed=5, rows_per_file=150)
+build_index(["t.parquet"], "idx", num_shards=2, partition_rows=150, rows_per_segment=150)
+q = Or([Term("text", "aabjx"), Term("text", "aacdod")])  # frequent words at seed 5
+a = IndexSearcher("idx").search(q, limit=10)
+b = IndexSearcher("idx", executor="ray", num_actors=2).search(q, limit=10)
+assert a.num_rows > 0
+assert a["docnum"].to_pylist() == b["docnum"].to_pylist()
+assert a["score"].to_pylist() == b["score"].to_pylist()
+ray.shutdown()
+"""
+
+
+def test_workers_import_package_from_pythonpath(tmp_path):
+    """The import rule: with the checkout on PYTHONPATH, a driver started
+    from any directory builds and serves an index on Ray workers."""
+    import os
+    import subprocess
+    import sys
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "RAY_ADDRESS"}
+    env["PYTHONPATH"] = repo
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_RULE_SCRIPT],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-4000:]

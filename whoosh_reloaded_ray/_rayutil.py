@@ -1,40 +1,16 @@
-"""Ray serialization helper.
+"""Small helpers shared by the Ray pipelines and the ray searcher.
 
-This package is used from a repo checkout (not pip-installed), so Ray worker
-processes can't import it by module path. ``ensure_serializable()`` registers
-every loaded submodule with cloudpickle's pickle-by-value so map_batches
-UDFs/actor classes ship self-contained to workers regardless of the driver's
-PYTHONPATH. Called at the top of every pipeline entry point; idempotent.
+Ray workers import ``whoosh_reloaded_ray`` by module path, like any other
+library: whatever starts Ray must make the package importable in every
+worker, by putting the checkout on ``PYTHONPATH`` (or installing it) on a
+single machine, or by passing it as job-level
+``ray.init(runtime_env={"py_modules": [...]})`` on a cluster (Ray rejects a
+local directory in a per-actor or per-task ``runtime_env``).  UDFs, actor
+classes and query objects then pickle by reference, so an actor call ships
+only its arguments' data.
 """
 
 from __future__ import annotations
-
-import sys
-
-_registered: set = set()
-
-
-def ensure_serializable():
-    # incremental, NOT once-only: a submodule imported after the first
-    # call (e.g. functions.partition pulled in by a later pipeline) must
-    # still be registered or workers without the repo on PYTHONPATH fail
-    # to unpickle UDFs referencing it
-    try:
-        from ray import cloudpickle
-    except Exception:
-        return
-    pkg = __name__.rsplit(".", 1)[0]  # "whoosh_reloaded_ray"
-    for name, mod in list(sys.modules.items()):
-        if (
-            mod is not None
-            and name not in _registered
-            and (name == pkg or name.startswith(pkg + "."))
-        ):
-            try:
-                cloudpickle.register_pickle_by_value(mod)
-                _registered.add(name)
-            except Exception:
-                pass
 
 
 def actor_pool_size(divisor: int = 2, floor: int = 2) -> int:

@@ -41,9 +41,6 @@ def _emb_matrix(col, dtype=np.float64) -> np.ndarray:
 def _read_embeddings(sf_dir: str, columns=None):
     import ray.data
 
-    from .._rayutil import ensure_serializable
-
-    ensure_serializable()
     return ray.data.read_parquet(
         os.path.join(sf_dir, "embeddings.parquet"), columns=columns
     )

@@ -26,7 +26,6 @@ lost wave costs one segment, not the build.
 from __future__ import annotations
 
 import logging
-import os
 import time
 
 from ..schema import IndexSchema, transcript_schema
@@ -62,9 +61,6 @@ def build_index(
     n_salts proportional to their estimated share.
 
     Returns the committed manifest."""
-    from .._rayutil import ensure_serializable
-
-    ensure_serializable()
     if isinstance(source_paths, str):
         source_paths = [source_paths]
     schema = schema or transcript_schema()
@@ -198,11 +194,8 @@ def build_index(
     # pipelines fragment the per-stage actor pools and thrash the driver's
     # per-dataset executors) and bounds in-flight shuffle memory to TWO
     # segments — size rows_per_segment so 2 x segment postings fits the
-    # aggregate object store.  WRR_OVERLAP overrides for experiments.
+    # aggregate object store.
     overlap = 1 if len(to_build) < 2 or cpus < 8 else 2
-    if os.environ.get("WRR_OVERLAP"):
-        overlap = max(1, int(os.environ["WRR_OVERLAP"]))
-    overlap = min(overlap, len(to_build))
     try:
         if overlap == 1:
             for i, spec in to_build:
@@ -276,7 +269,6 @@ def _build_segment(
         num_shards=num_shards,
         salted=salted_terms,
         doc_range=(doc_base, doc_count),
-        pack=os.environ.get("WRR_PACK", "1") == "1",
     )
     kwargs = {}
     if tokenizer_concurrency:

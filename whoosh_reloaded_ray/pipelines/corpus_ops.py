@@ -61,9 +61,6 @@ HASH_MASK = np.uint64((1 << 32) - 1)
 def _read_documents(sf_dir: str, columns):
     import ray.data
 
-    from .._rayutil import ensure_serializable
-
-    ensure_serializable()
     return ray.data.read_parquet(
         os.path.join(sf_dir, "documents.parquet"), columns=columns
     )

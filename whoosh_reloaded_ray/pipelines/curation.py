@@ -488,9 +488,6 @@ def redact_pii(sf_dir: str, collect: bool = True):
     matching the oracle's nesting)."""
     import ray.data
 
-    from .._rayutil import ensure_serializable
-
-    ensure_serializable()
     ds = ray.data.read_parquet(
         os.path.join(sf_dir, "events.parquet"), columns=["event_id", "props"]
     )

@@ -559,9 +559,6 @@ def events_sessionize(sf_dir: str, gap_us: int = SESSION_GAP_US) -> pa.Table:
     import numpy as np
     import ray.data
 
-    from .._rayutil import ensure_serializable
-
-    ensure_serializable()
     ds = ray.data.read_parquet(
         os.path.join(sf_dir, "events.parquet"),
         columns=["event_id", "user_id", "ts"],
@@ -639,9 +636,6 @@ def events_funnel(sf_dir: str, window_us: int = FUNNEL_WINDOW_US) -> pa.Table:
     import numpy as np
     import ray.data
 
-    from .._rayutil import ensure_serializable
-
-    ensure_serializable()
     ds = ray.data.read_parquet(
         os.path.join(sf_dir, "events.parquet"),
         columns=["user_id", "event_type", "ts"],

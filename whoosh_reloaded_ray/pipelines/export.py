@@ -22,7 +22,7 @@ import pyarrow as pa
 
 from ..query import ast
 from ..query.exec import ScoreContext, SegmentReader, evaluate
-from ..state.searcher import IndexSearcher, _PKG_PARENT
+from ..state.searcher import IndexSearcher
 
 
 def _eval_segment_rows(
@@ -35,10 +35,6 @@ def _eval_segment_rows(
     excluded,
 ) -> pa.Table:
     """Task body: evaluate q on one segment, fetch matched source rows."""
-    import sys
-
-    if _PKG_PARENT not in sys.path:
-        sys.path.insert(0, _PKG_PARENT)
     from ..sources.corpus import fetch_rows
     from ..state.manifest import SegmentMeta
 
@@ -72,9 +68,6 @@ def matches_dataset(
     docnum + score), one evaluation task per segment."""
     import ray.data
 
-    from .._rayutil import ensure_serializable
-
-    ensure_serializable()
     s = IndexSearcher(index_dir)  # driver-side stats + rewrite only
     rq = s._rewrite(q)
     ctx = s._context(rq)

@@ -149,9 +149,6 @@ class _ShardMerger:
 def merge_segments(index_dir: str, victims: list, new_name: str) -> SegmentMeta:
     """Merge victim segments (equal num_shards) into one new segment via
     per-shard Ray tasks; returns the new SegmentMeta (not yet committed)."""
-    from .._rayutil import ensure_serializable
-
-    ensure_serializable()
     import ray.data
 
     num_shards = victims[0].num_shards

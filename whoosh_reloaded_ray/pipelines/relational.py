@@ -38,9 +38,6 @@ TOP_CUSTOMERS_K = 10
 def _read(sf_dir: str, table: str, columns):
     import ray.data
 
-    from .._rayutil import ensure_serializable
-
-    ensure_serializable()
     return ray.data.read_parquet(
         os.path.join(sf_dir, f"{table}.parquet"), columns=columns
     )

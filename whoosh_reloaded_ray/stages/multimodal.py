@@ -219,9 +219,8 @@ def decode_image_meta(sf_dir: str) -> pa.Table:
     return per-doc metadata."""
     import ray.data
 
-    from .._rayutil import actor_pool_size, ensure_serializable
+    from .._rayutil import actor_pool_size
 
-    ensure_serializable()
     ds = ray.data.read_parquet(
         os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
     )
@@ -248,9 +247,8 @@ FROM documents ORDER BY doc_id
 def frame_sample_meta(sf_dir: str) -> pa.Table:
     import ray.data
 
-    from .._rayutil import actor_pool_size, ensure_serializable
+    from .._rayutil import actor_pool_size
 
-    ensure_serializable()
     ds = ray.data.read_parquet(
         os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
     )
@@ -410,9 +408,8 @@ def _attach_real_payload(make_fn):
 def _decode_meta_pipeline(sf_dir: str, make_fn, decoder_cls) -> pa.Table:
     import ray.data
 
-    from .._rayutil import actor_pool_size, ensure_serializable
+    from .._rayutil import actor_pool_size
 
-    ensure_serializable()
     ds = ray.data.read_parquet(
         os.path.join(sf_dir, "documents.parquet"), columns=["doc_id"]
     )

@@ -42,7 +42,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..functions.varint import binary_array_from_offsets, encode_varints_with_offsets
-from .tokenize import LEN_SENTINEL
+from .tokenize import LEN_SENTINEL, unpack_postings
 
 BLOCK_LIMIT = 128  # postings per block (reference codec constant)
 
@@ -93,12 +93,9 @@ class ShardSegmentWriter:
         from .._rayutil import consume_fault_flag
 
         consume_fault_flag(self._fault_flag)
-        if "n" in group.column_names:
-            # combiner format (tokenize.PACKED_SCHEMA): unpack AFTER the
-            # shuffle so the exchange moved packed runs, not posting rows
-            from .tokenize import unpack_postings
-
-            group = unpack_postings(group)
+        # combiner format (tokenize.PACKED_SCHEMA): unpack AFTER the
+        # shuffle so the exchange moved packed runs, not posting rows
+        group = unpack_postings(group)
         if group.num_rows == 0:
             return _summary_table(-1, None, "{}")
         shard = int(group["shard"][0].as_py())

@@ -78,8 +78,7 @@ POSTING_SCHEMA = pa.schema(
 # null), so the all-to-all exchange moves ~2.5x fewer bytes and ~10x fewer
 # rows (a zipfian batch of 8k docs holds ~250k postings but only ~25k
 # distinct terms).  The segment writer unpacks back to POSTING_SCHEMA with
-# pure buffer arithmetic before its (unchanged) blockify path — final index
-# bytes are identical to the unpacked pipeline's.
+# pure buffer arithmetic before its blockify path.
 PACKED_SCHEMA = pa.schema(
     [
         ("field", pa.string()),
@@ -305,7 +304,6 @@ class Tokenizer:
         num_shards: int = 16,
         salted: dict | None = None,
         doc_range: tuple | None = None,
-        pack: bool = True,
     ):
         """``salted``: {(field, term): n_salts} — HOT TERMS whose postings
         are split across n_salts sub-shards by contiguous docnum range
@@ -319,9 +317,6 @@ class Tokenizer:
         self.num_shards = num_shards
         self.salted = salted or {}
         self.doc_range = doc_range or (0, 1)
-        # pack=True emits the per-(shard,field,term) combiner format
-        # (PACKED_SCHEMA) so the shuffle moves packed runs, not rows
-        self.pack = pack
         self.specs = [
             (f.name, f.analyzer, f.scorable, f.positions, f.boost)
             for f in schema.indexed_fields
@@ -697,7 +692,7 @@ class Tokenizer:
             else:
                 cols.append(pa.array([], type=POSTING_SCHEMA.field(name).type))
         tbl = pa.Table.from_arrays(cols, schema=POSTING_SCHEMA)
-        return pack_postings(tbl) if self.pack else tbl
+        return pack_postings(tbl)
 
     def _chars_field(self, fname, spec_tuple, batch, docnums, out):
         """Loop path for chars-enabled fields (reference Characters format,

@@ -20,6 +20,7 @@ Two executors:
 from __future__ import annotations
 
 import math
+import os
 from collections import OrderedDict
 
 import numpy as np
@@ -28,19 +29,6 @@ import pyarrow as pa
 from ..query import ast
 from ..query.exec import ScoreContext, SegmentReader, evaluate
 from ..state.manifest import Manifest, load_manifest
-
-
-# Package parent dir, captured at import time on the driver.  Worker
-# processes receive the class pickled BY VALUE (see _rayutil), but lazy
-# `from ..query.wand import ...` statements inside methods still go through
-# the import system — on a single-node cluster the repo path is visible to
-# every worker, so pinning it onto sys.path makes those resolve.  (A real
-# multi-node deployment would ship the package via runtime_env py_modules.)
-import os as _os
-
-_PKG_PARENT = _os.path.dirname(
-    _os.path.dirname(_os.path.dirname(_os.path.abspath(__file__)))
-)
 
 
 def _sorted_order(docs, cols, fieldlist, flags, reverse, limit):
@@ -82,15 +70,11 @@ class _SegmentWorker:
     the body of a Ray actor)."""
 
     def __init__(self, index_dir: str, manifest_dict: dict, seg_indices: list):
-        import sys
-
-        if _PKG_PARENT not in sys.path:
-            sys.path.insert(0, _PKG_PARENT)
         # fault-injection hook (tests only; _rayutil.consume_fault_flag): a
         # flag file in the index dir crashes exactly one worker mid-query;
         # the actor's max_restarts/max_task_retries recover it and the
         # retried read is byte-identical (the index is an immutable snapshot)
-        self._fault_flag = _os.path.join(index_dir, ".fault_crash_eval")
+        self._fault_flag = os.path.join(index_dir, ".fault_crash_eval")
         man = Manifest.from_dict(manifest_dict)
         self.field_kinds = {
             f.name: (f.kind, getattr(f, "numtype", "int"))
@@ -535,9 +519,6 @@ class IndexSearcher:
         if executor == "ray":
             import ray
 
-            from .._rayutil import ensure_serializable
-
-            ensure_serializable()
             if num_actors is None:
                 # size the pool to the cluster like the build path does —
                 # a fixed default starves large clusters
