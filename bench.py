@@ -199,14 +199,6 @@ def run_default(sf_dir: str, num_cpus: int) -> dict:
         max_rows=20_000,
     )
 
-    # 3. corpus-ops throughput: vectorized MinHash-LSH banding + SimHash
-    # over a deterministic 100k-doc probe corpus
-    corpus_ops = _corpus_ops_probe()
-
-    # 4. curation-pipeline throughput: full shuffled pipelines (not just
-    # the map stage) over the same 100k-doc probe
-    curation = _curation_probe()
-
     total = time.perf_counter() - t_total0
     shutil.rmtree(index_dir, ignore_errors=True)
     # headline value = sf build + query latency sum (comparable across
@@ -225,8 +217,6 @@ def run_default(sf_dir: str, num_cpus: int) -> dict:
         "build": {"rows": sf_rows, "build_sec": build_s, "rows_per_sec": sf_rows / build_s},
         "synthetic": synth,
         "reference_whoosh": reference,
-        "corpus_ops": corpus_ops,
-        "curation": curation,
     }
 
 
@@ -305,76 +295,6 @@ def _reference_probe(corpus: str, max_rows: int = 5000) -> dict:
         }
     except Exception as exc:  # pragma: no cover - reference quirks
         return {"error": repr(exc)}
-
-
-def _ensure_probe_corpus(n_docs: int) -> str:
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    path = f"/tmp/wrr_bench/docs-{n_docs}.parquet"
-    if not os.path.exists(path):
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        rng = np.random.default_rng(17)
-        vocab = np.array([f"w{i}" for i in range(20000)])
-        texts = [" ".join(rng.choice(vocab, size=100)) for _ in range(n_docs)]
-        pq.write_table(
-            pa.table(
-                {"doc_id": pa.array(range(n_docs), pa.int64()), "text": pa.array(texts)}
-            ),
-            path,
-            row_group_size=4096,
-        )
-    return path
-
-
-def _corpus_ops_probe(n_docs: int = 100_000) -> dict:
-    """docs/s of the minhash-banding and simhash map stages at scale."""
-    import ray.data
-
-    from whoosh_reloaded_ray.pipelines import corpus_ops as co
-
-    path = _ensure_probe_corpus(n_docs)
-    out = {"docs": n_docs}
-    for name, fn in (
-        ("minhash", co.minhash_band_rows),
-        ("simhash", co.simhash_batch),
-        ("text_stats", co.text_stats_batch),
-    ):
-        ds = ray.data.read_parquet(path, columns=["doc_id", "text"])
-        t0 = time.perf_counter()
-        ds.map_batches(fn, batch_format="pyarrow", batch_size=1024).count()
-        out[f"{name}_docs_per_sec"] = n_docs / (time.perf_counter() - t0)
-    return out
-
-
-def _curation_probe(n_docs: int = 100_000) -> dict:
-    """End-to-end docs/s of the shuffled curation pipelines (n-gram
-    top-k, TF-IDF keywords, duplicated-span detection) on the shared
-    probe corpus — these include their groupby exchanges, unlike the
-    map-only corpus_ops probe."""
-    src = _ensure_probe_corpus(n_docs)
-    sf_dir = "/tmp/wrr_bench/curation_sf"
-    dst = os.path.join(sf_dir, "documents.parquet")
-    if not os.path.exists(dst):
-        os.makedirs(sf_dir, exist_ok=True)
-        os.link(src, dst)
-
-    from whoosh_reloaded_ray.pipelines import corpus_ops as co
-    from whoosh_reloaded_ray.pipelines import curation as cu
-
-    out = {"docs": n_docs}
-    for name, fn in (
-        ("top_ngrams", cu.top_ngrams),
-        ("doc_keywords", cu.doc_keywords),
-        ("dup_spans", cu.dup_spans),
-        ("neardup_e2e", co.neardup_ngram_jaccard),
-        ("dedup_exact", co.dedup_exact),
-    ):
-        t0 = time.perf_counter()
-        fn(sf_dir)
-        out[f"{name}_docs_per_sec"] = n_docs / (time.perf_counter() - t0)
-    return out
 
 
 def run_child_build(corpus: str, num_cpus: int, out_path: str):

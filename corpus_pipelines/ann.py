@@ -243,44 +243,6 @@ ORDER BY a, b
 """
 
 
-def oracle_neardup_embedding_pairs_lsh() -> str:
-    """Fixture oracle: the seeded random-hyperplane selection is not
-    SQL-expressible, so the oracle reads a COMMITTED parquet generated by
-    an independent naive single-process implementation of the same LSH
-    spec (scripts/gen_gate_fixtures.py: per-band python-dict buckets,
-    in-bucket exact cosine).  Valid at the driver's gate scale (sf0.01);
-    tests/test_gate_fixtures.py regenerates the naive result each round so
-    the fixture cannot go stale."""
-    fix = os.path.join(
-        os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
-        "tests",
-        "fixtures",
-        "neardup_embedding_lsh_sf0.01.parquet",
-    )
-    return f"SELECT a, b, sim_r FROM read_parquet('{fix}') ORDER BY a, b"
-
-
-def oracle_ann_approx_topk() -> str:
-    """Fixture oracle for the folded IVF/HNSW/PQ approximate top-k gate:
-    reads a COMMITTED parquet generated by independent naive single-process
-    implementations of the three published algorithms with the library's
-    seeds (scripts/gen_gate_fixtures.py — no Ray, no pipeline code; plain
-    file-order reads, whole-stream Lloyd sums, per-shard python-list HNSW
-    keyed by splitmix64(vec_id)).  Valid at the driver's gate scale
-    (sf0.01); tests/test_gate_fixtures.py regenerates the naive result each
-    round so the fixture cannot go stale."""
-    fix = os.path.join(
-        os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
-        "tests",
-        "fixtures",
-        "ann_approx_topk_sf0.01.parquet",
-    )
-    return (
-        f"SELECT which, qid, vec_id, sim_r, rank FROM read_parquet('{fix}') "
-        "ORDER BY which, qid, rank"
-    )
-
-
 def neardup_embedding_pairs_lsh(
     sf_dir: str,
     tau: float = 0.4,
@@ -344,7 +306,7 @@ def neardup_embedding_pairs_lsh(
             }
         )
 
-    from ..functions.partition import (
+    from .partition import (
         PART_COL,
         mix64,
         num_partitions_default,
@@ -971,7 +933,7 @@ def ann_hnsw_topk(
     long-lived shard actors."""
     import ray
 
-    from ..functions.partition import partition_ids
+    from .partition import partition_ids
 
     qids, Q = _query_matrix(sf_dir, n_queries)
     Qn = Q / np.linalg.norm(Q, axis=1, keepdims=True)
@@ -1032,4 +994,23 @@ def ann_hnsw_topk(
             "sim_r": pa.array([r[2] for r in rows], pa.float64()),
             "rank": pa.array([r[3] for r in rows], pa.int64()),
         }
+    )
+
+
+def ann_approx_topk(sf_dir: str):
+    """IVF, HNSW and PQ approximate top-k, unioned as
+    ``which, qid, vec_id, sim_r, rank``.  The three are deterministic given
+    their seeds (HNSW shards by splitmix64(vec_id), not Ray block
+    boundaries), so a naive single-process implementation reproduces every
+    row (scripts/gen_gate_fixtures.py, tests/test_gate_fixtures.py)."""
+    from . import tagged_union
+
+    return tagged_union(
+        sf_dir,
+        [
+            ("ann_ivf_topk", ann_ivf_topk),
+            ("ann_hnsw_topk", ann_hnsw_topk),
+            ("ann_pq_topk", ann_pq_topk),
+        ],
+        ["qid", "vec_id", "sim_r", "rank"],
     )

@@ -54,7 +54,7 @@ def corpus_word_counts(sf_dir: str, max_words: int = MAX_VOCAB_WORDS):
     ds = ray.data.read_parquet(
         os.path.join(sf_dir, "documents.parquet"), columns=["text"]
     )
-    from ..functions.partition import (
+    from .partition import (
         PART_COL,
         arrow_group_aggregate,
         num_partitions_default,
@@ -262,34 +262,15 @@ FROM scored GROUP BY doc_id ORDER BY doc_id
 """
 
 
-def oracle_bpe_token_counts() -> str:
-    """Fixture oracle: iterative BPE training is not SQL-expressible, so
-    the oracle reads a COMMITTED parquet generated by an independent naive
-    single-process implementation of the Sennrich spec
-    (scripts/gen_gate_fixtures.py, no Ray / no library pipeline code).
-    Valid at the driver's gate scale (sf0.01); tests/test_gate_fixtures.py
-    regenerates the naive result each round so the fixture cannot go
-    stale."""
-    fix = os.path.join(
-        os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
-        "tests",
-        "fixtures",
-        "bpe_token_counts_sf0.01.parquet",
-    )
-    return (
-        f"SELECT doc_id, n_words, n_bpe_tokens FROM read_parquet('{fix}') "
-        "ORDER BY doc_id"
-    )
-
-
 def bpe_token_counts(sf_dir: str, n_merges: int = N_MERGES) -> pa.Table:
     """Gate query: train BPE on the corpus's word-frequency dict, then
-    count per-doc BPE tokens with the broadcast merge table.  Oracle =
-    committed naive-implementation fixture (oracle_bpe_token_counts)."""
+    count per-doc BPE tokens with the broadcast merge table.  Checked
+    against a committed fixture from an independent naive implementation
+    (scripts/gen_gate_fixtures.py, tests/test_gate_fixtures.py)."""
     import ray
     import ray.data
 
-    from .._rayutil import actor_pool_size as _pool
+    from . import actor_pool_size as _pool
 
     counts = corpus_word_counts(sf_dir)
     merges = train_merges(counts, n_merges=n_merges)

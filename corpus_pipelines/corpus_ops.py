@@ -31,7 +31,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.partition import (
+from .partition import (
     PART_COL,
     arrow_group_aggregate,
     mix64,
@@ -1352,7 +1352,7 @@ def lang_id(sf_dir: str, collect: bool = True):
     predict argmax, ties -> alphabetically first language.  Fully
     vectorized: one Arrow split + one is_in/bincount pass per language
     over the flattened token stream."""
-    from ..functions.lang_stopwords import STOPLISTS
+    from whoosh_reloaded_ray.functions.lang_stopwords import STOPLISTS
 
     ds = _read_documents(sf_dir, ["doc_id", "text"])
     langs = sorted(STOPLISTS)
@@ -1388,7 +1388,7 @@ def lang_id(sf_dir: str, collect: bool = True):
 
 
 def oracle_lang_id() -> str:
-    from ..functions.lang_stopwords import STOPLISTS
+    from whoosh_reloaded_ray.functions.lang_stopwords import STOPLISTS
 
     langs = sorted(STOPLISTS)
     score_cols = ",\n         ".join(

@@ -44,7 +44,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.partition import (
+from .partition import (
     PART_COL,
     arrow_group_aggregate,
     num_partitions_default,

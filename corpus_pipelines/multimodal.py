@@ -8,7 +8,7 @@ CUT (no imaging libs in this container; see README).  The Ray-side
 plumbing is identical for any codec:
 
   * payloads are a ``large_binary`` column (here derived deterministically
-    from ``text`` so the sandbox tables can exercise the path);
+    from ``text`` so the sample tables can exercise the path);
   * decoders are CALLABLE CLASSES run via ``map_batches(Cls,
     concurrency=N, batch_size=B)`` — codec setup happens once per actor in
     ``__init__``, per-batch work in ``__call__``;
@@ -219,7 +219,7 @@ def decode_image_meta(sf_dir: str) -> pa.Table:
     return per-doc metadata."""
     import ray.data
 
-    from .._rayutil import actor_pool_size
+    from . import actor_pool_size
 
     ds = ray.data.read_parquet(
         os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
@@ -247,7 +247,7 @@ FROM documents ORDER BY doc_id
 def frame_sample_meta(sf_dir: str) -> pa.Table:
     import ray.data
 
-    from .._rayutil import actor_pool_size
+    from . import actor_pool_size
 
     ds = ray.data.read_parquet(
         os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
@@ -408,7 +408,7 @@ def _attach_real_payload(make_fn):
 def _decode_meta_pipeline(sf_dir: str, make_fn, decoder_cls) -> pa.Table:
     import ray.data
 
-    from .._rayutil import actor_pool_size
+    from . import actor_pool_size
 
     ds = ray.data.read_parquet(
         os.path.join(sf_dir, "documents.parquet"), columns=["doc_id"]

@@ -124,3 +124,22 @@ def heavy_hitters_cms(
             "est_count": pa.array(est[order], pa.int64()),
         }
     )
+
+
+def sketches_approx(sf_dir: str):
+    """HLL distinct users per event type and CMS heavy hitters, unioned as
+    ``which, key, n``.  Both sketches are deterministic given the input, so
+    a naive single-process implementation of each spec reproduces them
+    exactly (scripts/gen_gate_fixtures.py, tests/test_gate_fixtures.py)."""
+    from . import tagged_union
+    from .events_windowed import events_hll_users
+
+    return tagged_union(
+        sf_dir,
+        [("events_hll_users", events_hll_users), ("heavy_hitters_cms", heavy_hitters_cms)],
+        ["key", "n"],
+        renames={
+            "events_hll_users": {"event_type": "key", "approx_users": "n"},
+            "heavy_hitters_cms": {"term": "key", "est_count": "n"},
+        },
+    )

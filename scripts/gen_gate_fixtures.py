@@ -551,7 +551,7 @@ def gen_ann_hnsw_topk(
 def gen_ann_approx_topk(sf_dir: str) -> pa.Table:
     """The folded ``ann_approx_topk`` gate shape: which/qid/vec_id/sim_r/rank
     union of the IVF, HNSW and PQ naive results (fold order matches
-    gates.ann_approx_topk)."""
+    corpus_pipelines.ann.ann_approx_topk)."""
     rows = []
     for which, fn in (
         ("ann_ivf_topk", gen_ann_ivf_topk),

@@ -1,10 +1,9 @@
 #!/usr/bin/env python
 """10x scale-stress proof (round-5 VERDICT item 1).
 
-Runs the full engine surface one order of magnitude above the per-round
+Runs the full-text engine one order of magnitude above the per-round
 bench: a 10M-turn index build + query set (vs the 1M-turn scaling probe),
-1M-doc curation/neardup pipelines (vs 100k), a 1M-vector ANN/LSH probe (vs
-2k), and the N->4N scaling criterion re-measured AT the 10x size.
+and the N->4N scaling criterion re-measured AT the 10x size.
 
 Every phase runs in a FRESH subprocess that owns its own Ray session, so
   * peak driver RSS (resource.getrusage ru_maxrss) is per-phase — the
@@ -13,9 +12,8 @@ Every phase runs in a FRESH subprocess that owns its own Ray session, so
     the "streams under backpressure instead of OOMing" evidence.
 
 Usage:
-  python scripts/scale_stress.py                  # full run (~30-40 min)
-  python scripts/scale_stress.py --turns 500000 --docs 50000 --vectors 100000
-                                                  # smoke
+  python scripts/scale_stress.py                 # full run
+  python scripts/scale_stress.py --turns 500000  # smoke
 Writes /tmp/wrr_scale10x/report.json and prints the report; paste the
 summary into BASELINE.md (see the round-5 block there).
 """
@@ -161,124 +159,6 @@ def phase_query(index_dir: str, cpus: int) -> dict:
     }
 
 
-def _gen_docs(n_docs: int, path: str):
-    """Vectorized 1M-doc probe corpus (same shape as bench's 100k one)."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    if os.path.exists(path):
-        return
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    rng = np.random.default_rng(17)
-    vocab = np.array([f"w{i}" for i in range(20000)])
-    words = vocab[rng.integers(0, len(vocab), size=n_docs * 100)]
-    texts = [" ".join(w) for w in words.reshape(n_docs, 100)]
-    pq.write_table(
-        pa.table(
-            {"doc_id": pa.array(range(n_docs), pa.int64()), "text": pa.array(texts)}
-        ),
-        path,
-        row_group_size=8192,
-    )
-
-
-def phase_curation(n_docs: int, cpus: int) -> dict:
-    from whoosh_reloaded_ray.pipelines import corpus_ops as co
-    from whoosh_reloaded_ray.pipelines import curation as cu
-
-    _init_ray(cpus)
-    sf_dir = os.path.join(WORK, f"docs-{n_docs}")
-    _gen_docs(n_docs, os.path.join(sf_dir, "documents.parquet"))
-    out = {"docs": n_docs}
-    for name, fn in (
-        ("dedup_exact", co.dedup_exact),
-        ("neardup_e2e", co.neardup_ngram_jaccard),
-        ("top_ngrams", cu.top_ngrams),
-        ("doc_keywords", cu.doc_keywords),
-        ("dup_spans", cu.dup_spans),
-    ):
-        t0 = time.perf_counter()
-        fn(sf_dir)
-        el = time.perf_counter() - t0
-        out[f"{name}_sec"] = el
-        out[f"{name}_docs_per_sec"] = n_docs / el
-    out["driver_peak_rss_mb"] = _rss_mb()
-    out.update(_spill_stats())
-    return out
-
-
-def _gen_embeddings(n_vectors: int, dim: int, path: str):
-    """Deterministic clustered embeddings: 64 gaussian centers + noise, so
-    IVF/LSH have real structure; ~6% of vectors are near-duplicates."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    if os.path.exists(path):
-        return
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    rng = np.random.default_rng(23)
-    # noise sigma 1.0 -> within-cluster cosine ~ 0.5: clusters give IVF/LSH
-    # real structure WITHOUT flooding the tau=0.9 near-dup probe; the only
-    # pairs above 0.9 are the ~n/16 planted duplicates below
-    centers = rng.standard_normal((64, dim)).astype(np.float32)
-    assign = rng.integers(0, 64, size=n_vectors)
-    X = centers[assign] + rng.standard_normal((n_vectors, dim)).astype(np.float32)
-    ndup = n_vectors // 16
-    src = rng.integers(0, n_vectors - ndup, size=ndup)
-    X[n_vectors - ndup :] = X[src] + 0.01 * rng.standard_normal((ndup, dim)).astype(
-        np.float32
-    )
-    emb = pa.FixedSizeListArray.from_arrays(
-        pa.array(X.reshape(-1), pa.float32()), dim
-    ).cast(pa.list_(pa.float32()))
-    pq.write_table(
-        pa.table(
-            {"vec_id": pa.array(range(n_vectors), pa.int64()), "embedding": emb}
-        ),
-        path,
-        row_group_size=16384,
-    )
-
-
-def phase_ann(n_vectors: int, cpus: int) -> dict:
-    from whoosh_reloaded_ray.pipelines import ann
-
-    _init_ray(cpus)
-    dim = 64
-    sf_dir = os.path.join(WORK, f"emb-{n_vectors}")
-    _gen_embeddings(n_vectors, dim, os.path.join(sf_dir, "embeddings.parquet"))
-    out = {"vectors": n_vectors, "dim": dim}
-
-    t0 = time.perf_counter()
-    brute = ann.ann_cosine_topk(sf_dir, n_queries=5, k=10)
-    out["brute_topk_sec"] = time.perf_counter() - t0
-    out["brute_rows"] = brute.num_rows
-
-    t0 = time.perf_counter()
-    ivf = ann.ann_ivf_topk(sf_dir, n_queries=5, k=10, n_clusters=64, nprobe=8)
-    out["ivf_topk_sec"] = time.perf_counter() - t0
-    # recall of IVF vs brute
-    b = {(r["qid"], r["vec_id"]) for r in brute.to_pylist()}
-    i = {(r["qid"], r["vec_id"]) for r in ivf.to_pylist()}
-    out["ivf_recall_vs_brute"] = len(b & i) / len(b)
-
-    # tau=0.9 on a clustered corpus needs WIDE bands (the knob the LSH
-    # docstring documents): 8 bands x 16 bits keeps within-cluster
-    # (cos~0.5) candidate rate ~1% while planted dups (cos~0.9999) still
-    # recall ~1.0; the default 16x4 floods buckets with cluster-mates
-    # (measured 106s -> 8.8s at 50k vectors, identical pair set)
-    t0 = time.perf_counter()
-    pairs = ann.neardup_embedding_pairs_lsh(sf_dir, tau=0.9, n_planes=128, n_bands=8)
-    out["lsh_neardup_sec"] = time.perf_counter() - t0
-    out["lsh_pairs"] = pairs.num_rows
-
-    out["driver_peak_rss_mb"] = _rss_mb()
-    out.update(_spill_stats())
-    return out
-
-
 # ---------------------------------------------------------------------------
 # parent orchestration
 # ---------------------------------------------------------------------------
@@ -310,8 +190,6 @@ def _run_phase(name: str, cpus: int, **kw) -> dict:
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--turns", type=int, default=10_000_000)
-    ap.add_argument("--docs", type=int, default=1_000_000)
-    ap.add_argument("--vectors", type=int, default=1_000_000)
     ap.add_argument("--cpus", type=int, default=int(os.environ.get("RAY_GRAFT_CPUS", "32")))
     ap.add_argument("--scale-cpus", nargs=2, type=int, default=[8, 32])
     ap.add_argument("--skip-scaling", action="store_true")
@@ -330,8 +208,6 @@ def main():
                 args.turns, args.cpus, args.index_dir, args.rows_per_segment
             ),
             "query": lambda: phase_query(args.index_dir, args.cpus),
-            "curation": lambda: phase_curation(args.docs, args.cpus),
-            "ann": lambda: phase_ann(args.vectors, args.cpus),
         }[args.phase]
         rep = fn()
         with open(args.out, "w") as f:
@@ -348,15 +224,13 @@ def main():
     # turns/s at 4x2.5M/depth-2 vs 51k at 8x1.25M/depth-4 on 32 CPUs);
     # 0 would mean one corpus-spanning shuffle (29.6 GiB spill at 10M)
     rps = args.rows_per_segment or max(args.turns // 4, 250_000)
-    report = {"turns": args.turns, "docs": args.docs, "vectors": args.vectors}
+    report = {"turns": args.turns}
     report["gen"] = _run_phase("gen", args.cpus, turns=args.turns)
     report["build"] = _run_phase(
         "build", args.cpus, turns=args.turns,
         **{"index-dir": args.index_dir, "rows-per-segment": rps},
     )
     report["query"] = _run_phase("query", args.cpus, **{"index-dir": args.index_dir})
-    report["curation"] = _run_phase("curation", args.cpus, docs=args.docs)
-    report["ann"] = _run_phase("ann", args.cpus, vectors=args.vectors)
 
     if not args.skip_scaling:
         lo, hi = args.scale_cpus

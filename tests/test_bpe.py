@@ -7,7 +7,7 @@ import numpy as np
 import pyarrow.parquet as pq
 import pytest
 
-from whoosh_reloaded_ray.pipelines.bpe import (
+from corpus_pipelines.bpe import (
     END_OF_WORD,
     apply_merges,
     bpe_token_counts,
@@ -107,7 +107,7 @@ def test_word_counts_match_python(ray_session):
 def test_unigram_logprob(ray_session):
     import duckdb
 
-    from whoosh_reloaded_ray.pipelines.bpe import oracle_unigram_logprob, unigram_logprob
+    from corpus_pipelines.bpe import oracle_unigram_logprob, unigram_logprob
 
     t = unigram_logprob(SF)
     con = duckdb.connect()

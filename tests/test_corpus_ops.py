@@ -31,13 +31,13 @@ def _assert_match(mine, con, sql):
 
 
 def test_dedup_exact(ray_session, con):
-    from whoosh_reloaded_ray.pipelines import corpus_ops as co
+    from corpus_pipelines import corpus_ops as co
 
     _assert_match(co.dedup_exact(SF), con, co.oracle_dedup_exact())
 
 
 def test_neardup_ngram_jaccard(ray_session, con):
-    from whoosh_reloaded_ray.pipelines import corpus_ops as co
+    from corpus_pipelines import corpus_ops as co
 
     res = co.neardup_ngram_jaccard(SF)
     _assert_match(res, con, co.oracle_neardup_ngram_jaccard())
@@ -45,7 +45,7 @@ def test_neardup_ngram_jaccard(ray_session, con):
 
 
 def test_neardup_clusters(ray_session, con):
-    from whoosh_reloaded_ray.pipelines import corpus_ops as co
+    from corpus_pipelines import corpus_ops as co
 
     res = co.neardup_clusters(SF)
     _assert_match(res, con, co.oracle_neardup_clusters())
@@ -58,7 +58,7 @@ def test_cc_min_label_chain(ray_session):
     import pyarrow as pa
     import ray
 
-    from whoosh_reloaded_ray.pipelines.corpus_ops import _cc_min_label
+    from corpus_pipelines.corpus_ops import _cc_min_label
 
     pairs = [(10, 20), (20, 30), (100, 200), (5, 30), (7, 7)]
     src = [a for a, b in pairs] + [b for a, b in pairs]
@@ -76,7 +76,7 @@ def test_cc_min_label_long_chain(ray_session):
     import pyarrow as pa
     import ray
 
-    from whoosh_reloaded_ray.pipelines.corpus_ops import _cc_min_label
+    from corpus_pipelines.corpus_ops import _cc_min_label
 
     n = 64
     src = list(range(n - 1)) + list(range(1, n))
@@ -89,7 +89,7 @@ def test_cc_min_label_long_chain(ray_session):
 
 
 def test_winnow_shared_pairs(ray_session, con):
-    from whoosh_reloaded_ray.pipelines import corpus_ops as co
+    from corpus_pipelines import corpus_ops as co
 
     res = co.winnow_shared_pairs(SF)
     _assert_match(res, con, co.oracle_winnow_shared_pairs())
@@ -98,7 +98,7 @@ def test_winnow_shared_pairs(ray_session, con):
 
 
 def test_stratified_sample(ray_session, con):
-    from whoosh_reloaded_ray.pipelines import corpus_ops as co
+    from corpus_pipelines import corpus_ops as co
 
     res = co.stratified_sample(SF)
     _assert_match(res, con, co.oracle_stratified_sample())
@@ -110,13 +110,13 @@ def test_stratified_sample(ray_session, con):
 
 
 def test_dedup_minhash(ray_session, con):
-    from whoosh_reloaded_ray.pipelines import corpus_ops as co
+    from corpus_pipelines import corpus_ops as co
 
     _assert_match(co.dedup_minhash(SF), con, co.oracle_dedup_minhash())
 
 
 def test_text_analysis(ray_session, con):
-    from whoosh_reloaded_ray.pipelines import corpus_ops as co
+    from corpus_pipelines import corpus_ops as co
 
     _assert_match(co.text_stats(SF), con, co.oracle_text_stats())
     _assert_match(co.fingerprint_docs(SF), con, co.oracle_fingerprint_docs())
@@ -124,7 +124,7 @@ def test_text_analysis(ray_session, con):
 
 
 def test_simhash_pairs_symmetric(ray_session):
-    from whoosh_reloaded_ray.pipelines import corpus_ops as co
+    from corpus_pipelines import corpus_ops as co
 
     sig = co.simhash_fingerprints(SF)
     assert sig.num_rows == 500
@@ -140,7 +140,7 @@ def test_simhash_sql_oracle(ray_session, con):
     """The md5-derived SimHash spec is SQL-reproducible end to end: both
     the fingerprints and the banded pair search (recall 1.0 by pigeonhole)
     match the DuckDB oracle exactly."""
-    from whoosh_reloaded_ray.pipelines import corpus_ops as co
+    from corpus_pipelines import corpus_ops as co
 
     _assert_match(
         co.simhash_fingerprints(SF), con, co.oracle_simhash_fingerprints()
@@ -153,7 +153,7 @@ def test_simhash_sql_oracle(ray_session, con):
 
 
 def test_ann_brute_force(ray_session, con):
-    from whoosh_reloaded_ray.pipelines import ann
+    from corpus_pipelines import ann
 
     _assert_match(ann.ann_cosine_topk(SF), con, ann.oracle_ann_cosine_topk())
     _assert_match(
@@ -162,7 +162,7 @@ def test_ann_brute_force(ray_session, con):
 
 
 def test_ann_ivf_recall(ray_session):
-    from whoosh_reloaded_ray.pipelines import ann
+    from corpus_pipelines import ann
 
     bf = ann.ann_cosine_topk(SF).to_pandas()
     # full probe == exact brute force
@@ -180,7 +180,7 @@ def test_ann_ivf_recall(ray_session):
 
 
 def test_multimodal_stages(ray_session, con):
-    from whoosh_reloaded_ray.stages import multimodal as mm
+    from corpus_pipelines import multimodal as mm
 
     _assert_match(mm.decode_image_meta(SF), con, mm.oracle_decode_image_meta())
     _assert_match(mm.frame_sample_meta(SF), con, mm.oracle_frame_sample_meta())
@@ -194,7 +194,7 @@ def test_real_decoders(ray_session, con):
     """REAL byte-level decode: PPM via numpy, PCM WAV via stdlib wave —
     generated payloads round-trip through the actor-pool decoders and the
     oracle recomputes expected metadata from the generation rule."""
-    from whoosh_reloaded_ray.stages import multimodal as mm
+    from corpus_pipelines import multimodal as mm
 
     # kernel units: header comments, rasters, amplitudes
     blob = b"P6\n# comment\n3 2\n255\n" + bytes([9]) * 18
@@ -215,7 +215,7 @@ def test_png_decoder_kernel():
 
     import numpy as np
 
-    from whoosh_reloaded_ray.stages import multimodal as mm
+    from corpus_pipelines import multimodal as mm
 
     rng = np.random.default_rng(7)
 
@@ -301,7 +301,7 @@ def test_neardup_hot_bucket_skew(ray_session, tmp_path):
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from whoosh_reloaded_ray.pipelines import corpus_ops as co
+    from corpus_pipelines import corpus_ops as co
 
     hot = ["alpha beta gamma delta epsilon zeta eta theta"] * 40
     cold = [f"unique document number {i} with words {i*7} {i*13} {i*29}" for i in range(20)]
@@ -324,7 +324,7 @@ def test_neardup_hot_bucket_skew(ray_session, tmp_path):
 def test_embedding_lsh_recall(ray_session):
     """The LSH-bucketed scale mode finds most exact pairs and every
     reported pair is a true pair (in-bucket verification is exact)."""
-    from whoosh_reloaded_ray.pipelines import ann
+    from corpus_pipelines import ann
 
     exact = ann.neardup_embedding_pairs(SF).to_pandas()
     approx = ann.neardup_embedding_pairs_lsh(SF).to_pandas()
@@ -342,7 +342,7 @@ def test_embedding_lsh_recall(ray_session):
 def test_embedding_pairs_size_gate(ray_session):
     """Above exact_max_rows the exact path auto-routes to the LSH-bucketed
     scale mode (same schema, exact-verified subset of the exact pairs)."""
-    from whoosh_reloaded_ray.pipelines import ann
+    from corpus_pipelines import ann
 
     routed = ann.neardup_embedding_pairs(SF, exact_max_rows=1).to_pandas()
     lsh = ann.neardup_embedding_pairs_lsh(SF).to_pandas()
@@ -351,7 +351,7 @@ def test_embedding_pairs_size_gate(ray_session):
 
 
 def test_filter_quality(ray_session, con):
-    from whoosh_reloaded_ray.pipelines import corpus_ops as co
+    from corpus_pipelines import corpus_ops as co
 
     res = co.filter_quality(SF)
     _assert_match(res, con, co.oracle_filter_quality())
@@ -362,7 +362,7 @@ def test_filter_quality(ray_session, con):
 def test_ann_pq_recall(ray_session):
     """PQ codes + ADC shortlist + exact rerank: high recall vs brute
     force at 32x compression of the scanned representation."""
-    from whoosh_reloaded_ray.pipelines import ann
+    from corpus_pipelines import ann
 
     bf = ann.ann_cosine_topk(SF).to_pandas()
     pq_ = ann.ann_pq_topk(SF).to_pandas()
@@ -376,7 +376,7 @@ def test_events_windowed_aggregates(ray_session):
     windowed aggregates match DuckDB window functions."""
     import duckdb
 
-    from whoosh_reloaded_ray.pipelines import events_index as ev
+    from corpus_pipelines import events_windowed as ev
 
     con2 = duckdb.connect()
     con2.sql(f"CREATE VIEW events AS SELECT * FROM read_parquet('{SF}/events.parquet')")
@@ -394,7 +394,7 @@ def test_events_windowed_aggregates(ray_session):
 def test_events_asof_join(ray_session):
     import duckdb
 
-    from whoosh_reloaded_ray.pipelines import events_index as ev
+    from corpus_pipelines import events_windowed as ev
 
     con2 = duckdb.connect()
     con2.sql(f"CREATE VIEW events AS SELECT * FROM read_parquet('{SF}/events.parquet')")
@@ -408,7 +408,7 @@ def test_events_asof_join(ray_session):
 def test_events_range_join(ray_session):
     import duckdb
 
-    from whoosh_reloaded_ray.pipelines import events_index as ev
+    from corpus_pipelines import events_windowed as ev
 
     con2 = duckdb.connect()
     con2.sql(f"CREATE VIEW events AS SELECT * FROM read_parquet('{SF}/events.parquet')")
@@ -424,7 +424,7 @@ def test_events_hll_accuracy(ray_session):
     """HyperLogLog distinct-user sketch within 5% of exact at p=12."""
     import duckdb
 
-    from whoosh_reloaded_ray.pipelines import events_index as ev
+    from corpus_pipelines import events_windowed as ev
 
     con2 = duckdb.connect()
     con2.sql(f"CREATE VIEW events AS SELECT * FROM read_parquet('{SF}/events.parquet')")
@@ -443,7 +443,7 @@ def test_events_sessionize(ray_session):
     import duckdb
     import numpy as np
 
-    from whoosh_reloaded_ray.pipelines import events_index as ev
+    from corpus_pipelines import events_windowed as ev
 
     con2 = duckdb.connect()
     con2.sql(f"CREATE VIEW events AS SELECT * FROM read_parquet('{SF}/events.parquet')")
@@ -470,7 +470,7 @@ def test_events_sessionize(ray_session):
 def test_events_funnel(ray_session):
     import duckdb
 
-    from whoosh_reloaded_ray.pipelines import events_index as ev
+    from corpus_pipelines import events_windowed as ev
 
     con2 = duckdb.connect()
     con2.sql(f"CREATE VIEW events AS SELECT * FROM read_parquet('{SF}/events.parquet')")
@@ -489,7 +489,7 @@ def test_lang_id_real_sentences(ray_session, tmp_path):
     in the stoplist-covered languages."""
     import pyarrow.parquet as pq
 
-    from whoosh_reloaded_ray.pipelines import corpus_ops as co
+    from corpus_pipelines import corpus_ops as co
 
     sents = {
         "en": "the quick brown fox is jumping over that lazy dog of yours and it was not even trying",
@@ -514,7 +514,7 @@ def test_lang_id_real_sentences(ray_session, tmp_path):
 
 
 def test_ann_hnsw_recall(ray_session):
-    from whoosh_reloaded_ray.pipelines import ann
+    from corpus_pipelines import ann
 
     bf = ann.ann_cosine_topk(SF).to_pandas()
     h = ann.ann_hnsw_topk(SF).to_pandas()
@@ -530,7 +530,7 @@ def test_hnsw_graph_single_shard_recall():
     vs exact brute force must be high at ef=64."""
     import numpy as np
 
-    from whoosh_reloaded_ray.pipelines.ann import _HnswGraph
+    from corpus_pipelines.ann import _HnswGraph
 
     rng = np.random.RandomState(3)
     X = rng.randn(2000, 32)
@@ -553,7 +553,7 @@ def test_lazy_collect_false_writes_parquet(ray_session, tmp_path, con):
     import pyarrow.parquet as pq
     import ray.data
 
-    from whoosh_reloaded_ray.pipelines import corpus_ops as co
+    from corpus_pipelines import corpus_ops as co
 
     for fn in (
         co.simhash_fingerprints,
@@ -577,7 +577,7 @@ def test_ann_ivf_distributed_refinement(ray_session):
     """Distributed Lloyd refinement (per-block partial sums, no driver
     vector materialization) keeps full-probe exactness and plausible
     partial-probe recall."""
-    from whoosh_reloaded_ray.pipelines import ann
+    from corpus_pipelines import ann
 
     bf = ann.ann_cosine_topk(SF).to_pandas()
     bfset = set(map(tuple, bf[["qid", "vec_id"]].values))

@@ -33,7 +33,7 @@ def _assert_match(mine, con, sql):
 
 
 def test_top_ngrams(ray_session, con):
-    from whoosh_reloaded_ray.pipelines import curation as cu
+    from corpus_pipelines import curation as cu
 
     res = cu.top_ngrams(SF)
     _assert_match(res, con, cu.oracle_top_ngrams())
@@ -42,7 +42,7 @@ def test_top_ngrams(ray_session, con):
 
 
 def test_decontaminate(ray_session, con):
-    from whoosh_reloaded_ray.pipelines import curation as cu
+    from corpus_pipelines import curation as cu
 
     res = cu.decontaminate(SF)
     _assert_match(res, con, cu.oracle_decontaminate())
@@ -55,7 +55,7 @@ def test_decontaminate_hot_ngram(ray_session):
     pipeline must still flag all non-benchmark docs, not OOM or drop."""
     import ray
 
-    from whoosh_reloaded_ray.pipelines import curation as cu
+    from corpus_pipelines import curation as cu
 
     hot = "alpha beta gamma delta"
     rows = [{"doc_id": i, "text": f"{hot} filler{i} x{i} y{i} z{i}"} for i in range(60)]
@@ -74,7 +74,7 @@ def test_decontaminate_hot_ngram(ray_session):
 
 
 def test_repetition_stats(ray_session, con):
-    from whoosh_reloaded_ray.pipelines import curation as cu
+    from corpus_pipelines import curation as cu
 
     res = cu.repetition_stats(SF)
     _assert_match(res, con, cu.oracle_repetition_stats())
@@ -84,7 +84,7 @@ def test_repetition_stats(ray_session, con):
 
 
 def test_redact_pii(ray_session, con):
-    from whoosh_reloaded_ray.pipelines import curation as cu
+    from corpus_pipelines import curation as cu
 
     res = cu.redact_pii(SF)
     _assert_match(res, con, cu.oracle_redact_pii())
@@ -95,7 +95,7 @@ def test_redact_pii_patterns(ray_session):
     """Email and IPv4 patterns fire (the sf corpus only has numbers)."""
     import pyarrow.compute as pc
 
-    from whoosh_reloaded_ray.pipelines import curation as cu
+    from corpus_pipelines import curation as cu
 
     s = pa.array(["mail bob@example.com from 10.0.0.1 port 443"])
     for pat, repl in ((cu.PII_EMAIL, "<EMAIL>"), (cu.PII_IPV4, "<IP>"), (cu.PII_NUM, "<NUM>")):
@@ -104,7 +104,7 @@ def test_redact_pii_patterns(ray_session):
 
 
 def test_doc_keywords(ray_session, con):
-    from whoosh_reloaded_ray.pipelines import curation as cu
+    from corpus_pipelines import curation as cu
 
     res = cu.doc_keywords(SF)
     _assert_match(res, con, cu.oracle_doc_keywords())
@@ -120,7 +120,7 @@ def test_lazy_dataset_variants(ray_session):
     write_parquet instead of collecting)."""
     import ray.data
 
-    from whoosh_reloaded_ray.pipelines import curation as cu
+    from corpus_pipelines import curation as cu
 
     for fn in (cu.repetition_stats, cu.redact_pii, cu.pack_sequences, cu.doc_keywords):
         ds = fn(SF, collect=False)
@@ -129,7 +129,7 @@ def test_lazy_dataset_variants(ray_session):
 
 
 def test_dup_spans(ray_session, con):
-    from whoosh_reloaded_ray.pipelines import curation as cu
+    from corpus_pipelines import curation as cu
 
     res = cu.dup_spans(SF)
     _assert_match(res, con, cu.oracle_dup_spans())
@@ -137,7 +137,7 @@ def test_dup_spans(ray_session, con):
 
 
 def test_pack_sequences(ray_session, con):
-    from whoosh_reloaded_ray.pipelines import curation as cu
+    from corpus_pipelines import curation as cu
 
     res = cu.pack_sequences(SF)
     _assert_match(res, con, cu.oracle_pack_sequences())
@@ -159,7 +159,7 @@ def test_pack_sequences(ray_session, con):
 def test_heavy_hitters_cms(ray_session, con):
     """CMS top-k equals exact top-k on the gate corpus; estimates never
     undercount and overshoot within the e/w * total_tokens bound."""
-    from whoosh_reloaded_ray.pipelines.sketches import CMS_W, heavy_hitters_cms
+    from corpus_pipelines.sketches import CMS_W, heavy_hitters_cms
 
     t = heavy_hitters_cms(SF).to_pandas()
     exact = con.sql(

@@ -1,6 +1,7 @@
 """Fixture-oracle freshness guard.
 
-The driver gates ``bpe_token_counts`` and ``neardup_embedding_lsh`` against
+``bpe_token_counts``, ``neardup_embedding_pairs_lsh``, ``sketches_approx``
+and ``ann_approx_topk`` (``corpus_pipelines``) are checked against
 COMMITTED parquet fixtures generated by independent naive single-process
 implementations (scripts/gen_gate_fixtures.py).  These tests (a) regenerate
 the naive results and assert the committed fixtures match — so a pipeline
@@ -58,10 +59,10 @@ def test_sketches_fixture_fresh(tag, sf):
 
 
 def test_pipeline_matches_sketches_fixture(ray_session):
-    from whoosh_reloaded_ray.pipelines import gates as g
+    from corpus_pipelines.sketches import sketches_approx
 
     tag, sf = SCALES[0]
-    mine = g.sketches_approx()[0](sf)
+    mine = sketches_approx(sf)
     committed = pq.read_table(
         os.path.join(FIXDIR, f"sketches_approx_{tag}.parquet")
     ).to_pandas()
@@ -69,7 +70,7 @@ def test_pipeline_matches_sketches_fixture(ray_session):
 
 
 def test_pipeline_matches_bpe_fixture(ray_session):
-    from whoosh_reloaded_ray.pipelines import bpe
+    from corpus_pipelines import bpe
 
     tag, sf = SCALES[0]
     mine = bpe.bpe_token_counts(sf).to_pandas()
@@ -80,7 +81,7 @@ def test_pipeline_matches_bpe_fixture(ray_session):
 
 
 def test_pipeline_matches_lsh_fixture(ray_session):
-    from whoosh_reloaded_ray.pipelines import ann
+    from corpus_pipelines import ann
 
     tag, sf = SCALES[0]
     mine = ann.neardup_embedding_pairs_lsh(sf).to_pandas()
@@ -107,9 +108,9 @@ def test_pipeline_matches_ann_approx_fixture(ray_session, tag, sf):
     EXACTLY at both scales — bit-determinism under blocking is the point
     (fixed-point Lloyd sums; splitmix64(vec_id)-sharded HNSW; raw-sim
     batching-invariant merges)."""
-    from whoosh_reloaded_ray.pipelines import gates as g
+    from corpus_pipelines.ann import ann_approx_topk
 
-    mine = g.ann_approx_topk()[0](sf)
+    mine = ann_approx_topk(sf)
     committed = pq.read_table(
         os.path.join(FIXDIR, f"ann_approx_topk_{tag}.parquet")
     ).to_pandas()

@@ -1,7 +1,7 @@
-"""functions/partition.py: vectorized string hashing and the
-hash-partitioned aggregation pattern (the high-cardinality-groupby
-replacement — see the module docstring for why Ray's own
-groupby(key).aggregate is avoided at n-gram/doc-id cardinality)."""
+"""Vectorized string hashing (whoosh_reloaded_ray/functions/partition.py)
+and the hash-partitioned aggregation pattern (corpus_pipelines/partition.py,
+the high-cardinality-groupby replacement — see its module docstring for why
+Ray's own groupby(key).aggregate is avoided at n-gram/doc-id cardinality)."""
 
 from __future__ import annotations
 
@@ -9,14 +9,13 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
-from whoosh_reloaded_ray.functions.partition import (
+from corpus_pipelines.partition import (
     PART_COL,
     arrow_group_aggregate,
-    mix64,
     partition_ids,
     partitioned_map_groups,
-    polyhash64,
 )
+from whoosh_reloaded_ray.functions.partition import mix64, polyhash64
 
 
 def test_polyhash_identity_and_edges():

@@ -32,7 +32,7 @@ def _assert_match(mine, con, sql):
 
 
 def test_lineitem_pricing_summary(ray_session, con):
-    from whoosh_reloaded_ray.pipelines import relational as rel
+    from corpus_pipelines import relational as rel
 
     res = rel.lineitem_pricing_summary(SF)
     _assert_match(res, con, rel.oracle_lineitem_pricing_summary())
@@ -40,7 +40,7 @@ def test_lineitem_pricing_summary(ray_session, con):
 
 
 def test_orders_by_segment(ray_session, con):
-    from whoosh_reloaded_ray.pipelines import relational as rel
+    from corpus_pipelines import relational as rel
 
     res = rel.orders_by_segment(SF)
     _assert_match(res, con, rel.oracle_orders_by_segment())
@@ -49,7 +49,7 @@ def test_orders_by_segment(ray_session, con):
 
 
 def test_top_customers_by_spend(ray_session, con):
-    from whoosh_reloaded_ray.pipelines import relational as rel
+    from corpus_pipelines import relational as rel
 
     res = rel.top_customers_by_spend(SF)
     _assert_match(res, con, rel.oracle_top_customers_by_spend())
@@ -59,7 +59,7 @@ def test_top_customers_by_spend(ray_session, con):
 
 
 def test_revenue_by_nation(ray_session, con):
-    from whoosh_reloaded_ray.pipelines import relational as rel
+    from corpus_pipelines import relational as rel
 
     res = rel.revenue_by_nation(SF)
     _assert_match(res, con, rel.oracle_revenue_by_nation())
@@ -67,7 +67,7 @@ def test_revenue_by_nation(ray_session, con):
 
 
 def test_part_type_revenue(ray_session, con):
-    from whoosh_reloaded_ray.pipelines import relational as rel
+    from corpus_pipelines import relational as rel
 
     res = rel.part_type_revenue(SF)
     _assert_match(res, con, rel.oracle_part_type_revenue())
@@ -75,7 +75,7 @@ def test_part_type_revenue(ray_session, con):
 
 
 def test_supplier_revenue(ray_session, con):
-    from whoosh_reloaded_ray.pipelines import relational as rel
+    from corpus_pipelines import relational as rel
 
     res = rel.supplier_revenue(SF)
     _assert_match(res, con, rel.oracle_supplier_revenue())

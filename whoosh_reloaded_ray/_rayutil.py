@@ -13,20 +13,6 @@ only its arguments' data.
 from __future__ import annotations
 
 
-def actor_pool_size(divisor: int = 2, floor: int = 2) -> int:
-    """Actor-pool concurrency derived from the cluster's CPU count
-    (cpus // divisor, at least ``floor``) — stages must scale with the
-    cluster, never a hardcoded cap (a fixed concurrency=2 starves 30 of
-    32 cores)."""
-    try:
-        import ray
-
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-    except Exception:
-        cpus = 4
-    return max(floor, cpus // divisor)
-
-
 def consume_fault_flag(flag_path: str) -> None:
     """TEST-ONLY crash hook (fault-injection for the Ray restart paths).
 

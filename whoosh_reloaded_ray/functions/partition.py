@@ -1,26 +1,10 @@
-"""Hash-partitioned high-cardinality aggregation over Ray Data.
+"""Vectorized, process-stable uint64 key hashes over Arrow columns.
 
-Ray Data's built-in ``groupby(key).aggregate(...)`` uses a sort-based
-shuffle whose reduce walks group boundaries in Python — fine for dozens
-of groups, catastrophic when the group count approaches the row count
-(measured ~12k rows/s on 9.8M near-unique string keys: a 100k-doc
-n-gram count spent 394 s in the aggregate at 4 CPUs).  The
-scale-correct pattern for high-cardinality keys:
-
-1. compute a small int64 partition id ``__part = mix(key) % P``
-   (P ≈ a few × cluster CPUs) in the producing ``map_batches``;
-2. ``groupby("__part").map_groups(combine)`` — the sort shuffle now
-   orders a P-valued int column (fully vectorized) and Python runs once
-   per PARTITION, not once per key;
-3. ``combine`` aggregates its partition with Arrow's C++
-   ``Table.group_by`` kernels or vectorized numpy.
-
-Every key lives in exactly one partition, so per-partition aggregation
-of associative functions is globally exact.  Same-input micro-bench:
-394 s -> 36 s at 4 CPUs (10.8x) for the n-gram count above.
-
-The reference engine has no analog (single-process dict aggregation);
-this module exists for the 100 TB brief's shuffle budget.
+``composite_key_hash`` hashes a tuple of key columns in one column-wise
+pass (``polyhash64`` for strings, ``mix64`` for integers); the write path
+uses it for the broadcast semi-join that finds the documents an update
+replaces.  The hashes are stable across processes (no Python ``hash``
+salting), so Ray workers and the driver agree on them.
 """
 
 from __future__ import annotations
@@ -28,14 +12,11 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-PART_COL = "__part"
-
 # splitmix64 finalizer constants — public-domain mixing function
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
 _POLY_BASE = np.uint64(1099511628211)  # FNV-64 prime as polynomial base
-_MAX_POW = 1 << 20  # longest hashable string; powers extended on demand
 
 _pow_cache: dict[int, np.ndarray] = {}
 
@@ -58,9 +39,9 @@ def polyhash64(arr) -> np.ndarray:
     """Vectorized, process-stable uint64 polynomial hash of a pyarrow
     string/binary array: ``h(s) = sum(byte_j * BASE^(len-1-j)) mod 2^64``
     computed straight off the Arrow offsets/data buffers (no Python loop
-    over values).  Intended for PARTITIONING (distribution quality is
-    ample for bucketing); content-identity keys should keep using the
-    blake2b-based ``corpus_ops._hash64``."""
+    over values).  Distribution quality is ample for bucketing and
+    candidate lookup; callers exact-verify matches, since 64-bit hashes
+    can collide."""
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
     n = len(arr)
@@ -86,12 +67,10 @@ def polyhash64(arr) -> np.ndarray:
             return out + lens.astype(np.uint64) * _MIX2
     pows = _pows(int(lens.max()))
     sums = np.empty(n, np.uint64)
-    # string-aligned chunks: ballooned-VM sandboxes (this one included)
-    # fault fresh pages at ~100x normal cost, so one big repeat/arange/
-    # astype over 10^7+ chars costs SECONDS on its first touch in every
-    # worker process; per-chunk temps are served from the allocator's
-    # freed blocks after the first chunk (the same chunk-reuse pattern
-    # as minhash_band_rows)
+    # string-aligned chunks: ballooned VMs fault fresh pages at ~100x
+    # normal cost, so one big repeat/arange/astype over 10^7+ chars costs
+    # SECONDS on its first touch in every worker process; per-chunk temps
+    # are served from the allocator's freed blocks after the first chunk
     CH = 1 << 20
     i = 0
     while i < n:
@@ -151,7 +130,7 @@ def composite_key_hash(tbl: pa.Table, fields) -> np.ndarray:
 
 def mix64(keys: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer: decorrelates low bits of structured int keys
-    (sequential doc_ids, small-range hashes) before the ``% P``."""
+    (sequential doc_ids, small-range hashes)."""
     x = keys.astype(np.uint64, copy=True)
     with np.errstate(over="ignore"):
         x ^= x >> np.uint64(30)
@@ -160,45 +139,3 @@ def mix64(keys: np.ndarray) -> np.ndarray:
         x *= _MIX2
         x ^= x >> np.uint64(31)
     return x
-
-
-def num_partitions_default(multiplier: int = 4, cap: int = 512) -> int:
-    """P ≈ multiplier × cluster CPUs: enough partitions that the
-    per-partition Arrow aggregates parallelize and stragglers stay small,
-    few enough that the int sort-shuffle stays cheap."""
-    try:
-        import ray
-
-        cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    except Exception:  # pragma: no cover
-        cpus = 8
-    return max(8, min(cap, cpus * multiplier))
-
-
-def partition_ids(keys: np.ndarray, num_partitions: int) -> np.ndarray:
-    """int64 partition column values for uint64/int64 key hashes."""
-    return (mix64(keys) % np.uint64(num_partitions)).astype(np.int64)
-
-
-def partitioned_map_groups(ds, combine, *, num_partitions_hint=None):
-    """``groupby(PART_COL).map_groups`` wrapper: ``combine`` receives one
-    partition as a pyarrow Table WITHOUT the partition column and returns
-    a pyarrow Table.  The producing ``map_batches`` must have attached
-    ``PART_COL`` via :func:`partition_ids`."""
-
-    def run(part: pa.Table) -> pa.Table:
-        return combine(part.drop_columns([PART_COL]))
-
-    return ds.groupby(PART_COL).map_groups(run, batch_format="pyarrow")
-
-
-def arrow_group_aggregate(
-    part: pa.Table, keys, aggs, rename: dict[str, str] | None = None
-) -> pa.Table:
-    """Arrow C++ group_by helper for combine fns: ``aggs`` is the
-    pyarrow ``[(col, fn)]`` list; output agg columns named ``col_fn`` are
-    optionally renamed via ``rename``."""
-    g = part.group_by(keys).aggregate(aggs)
-    if rename:
-        g = g.rename_columns([rename.get(c, c) for c in g.column_names])
-    return g

@@ -25,6 +25,7 @@ lost wave costs one segment, not the build.
 
 from __future__ import annotations
 
+import gc
 import logging
 import time
 
@@ -304,6 +305,12 @@ def _build_segment(
         )
         .to_pandas()
     )
+    # Ray Data releases the writer pool by dropping its actor handles, but
+    # the finished executor holds them in reference cycles: until a full
+    # collection the actors stay alive and keep their CPUs, and the next
+    # build's fixed pool plus its tokenize tasks can wait on them forever.
+    del ds, postings
+    gc.collect()
 
     # field totals for avgfl: each shard reducer pre-aggregates its doclen
     # sentinel rows and ships the per-field sums back in its summary row —
