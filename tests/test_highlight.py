@@ -272,6 +272,43 @@ def test_characters_payload_stemming(ray_session, whoosh, tmp_path):
     assert sorted(texts[1][a:b] for a, b in spans1) == ["jumped", "jumping", "jumps"]
 
 
+def test_payload_highlight_both_executors(ray_session, tmp_path):
+    """highlight_hit on a chars=True field reads the Characters payload
+    on both executors, so the ray executor returns the local string.
+    Re-analysis would differ: it also marks the stop word 'the', which
+    the index (and so the payload) never holds."""
+    import pyarrow as pa
+
+    from whoosh_reloaded_ray.functions.analysis import stemming_analyzer
+    from whoosh_reloaded_ray.pipelines.build import build_index
+    from whoosh_reloaded_ray.schema import IndexSchema, id_field, text_field
+    from whoosh_reloaded_ray.state.searcher import IndexSearcher
+
+    texts = [
+        "the runner was running while others ran the race",
+        "jumping jumps jumped over running water",
+        "nothing matching here at all",
+    ]
+    corpus = str(tmp_path / "st.parquet")
+    pq.write_table(
+        pa.table({"conv_id": pa.array([f"c{i}" for i in range(len(texts))]),
+                  "text": pa.array(texts)}),
+        corpus,
+    )
+    schema = IndexSchema(
+        fields=[id_field("conv_id"), text_field("text", analyzer=stemming_analyzer(), chars=True)]
+    )
+    idx = str(tmp_path / "stidx")
+    build_index([corpus], idx, schema=schema, num_shards=2, partition_rows=2)
+    local = IndexSearcher(idx, executor="local")
+    rays = IndexSearcher(idx, executor="ray", num_actors=2)
+    runn_the = Or([Term("text", "runn"), Term("text", "the")])
+    for d, q in ((0, runn_the), (1, Term("text", "runn")), (1, Term("text", "jump"))):
+        assert hl.highlight_hit(rays, d, "text", q) == hl.highlight_hit(local, d, "text", q)
+    frag = hl.highlight_hit(rays, 0, "text", runn_the)
+    assert "RUNNING" in frag and "THE" not in frag
+
+
 def _install_fake_genshi(monkeypatch):
     """Minimal structural genshi stand-in, injected for BOTH engines so the
     reference GenshiFormatter (which hard-imports genshi.core) and ours see

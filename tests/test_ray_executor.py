@@ -99,14 +99,17 @@ def test_ray_executor_facets_and_sorting(idx_dir):
     b = rays.search_sorted(q, "turn_idx", limit=10)
     assert a["docnum"].to_pylist() == b["docnum"].to_pylist()
     assert local.search_grouped(q, "role") == rays.search_grouped(q, "role")
+    # bounded path: values fetched for the top-limit docs and merged by docnum
+    assert local.search_grouped(q, "role", limit=10) == \
+        rays.search_grouped(q, "role", limit=10)
 
 
-def test_two_phase_wand_matches_local(idx_dir):
-    """Multi-segment workers take the two-phase global-theta WAND path;
-    results must stay byte-identical to the local executor."""
+def test_multi_segment_workers_match_local(idx_dir):
+    """Workers holding several segments thread the WAND threshold across
+    them; results must stay byte-identical to the local executor."""
     local = IndexSearcher(idx_dir, executor="local")
     rays = IndexSearcher(idx_dir, executor="ray", num_actors=1)  # 1 worker, 3 segments
-    assert any(n > 1 for n in rays._group_sizes)
+    assert len(rays.workers) < len(rays.manifest.segments)
     vocab = _vocab(idx_dir)
     for q in (
         Term("text", vocab[0]),                      # hot term
@@ -118,6 +121,26 @@ def test_two_phase_wand_matches_local(idx_dir):
             b = rays.search(q, limit=limit)
             np.testing.assert_array_equal(a["docnum"].to_numpy(), b["docnum"].to_numpy())
             np.testing.assert_allclose(a["score"].to_numpy(), b["score"].to_numpy(), atol=0)
+
+
+def test_search_timelimit_both_executors(idx_dir):
+    """``timelimit`` works on both executors: a zero budget raises
+    TimeLimitExceeded carrying a partial table, a generous one returns
+    the untimed result."""
+    from whoosh_reloaded_ray.state.searcher import TimeLimitExceeded
+
+    vocab = _vocab(idx_dir)
+    q = Or([Term("text", vocab[1]), Term("text", vocab[20])])
+    for searcher in (
+        IndexSearcher(idx_dir, executor="local"),
+        IndexSearcher(idx_dir, executor="ray", num_actors=2),
+    ):
+        with pytest.raises(TimeLimitExceeded) as ei:
+            searcher.search(q, limit=10, timelimit=0.0)
+        assert ei.value.partial.column_names == ["docnum", "score"]
+        want = searcher.search(q, limit=10)
+        assert want.num_rows == 10
+        assert searcher.search(q, limit=10, timelimit=30.0).equals(want)
 
 
 def test_export_matches(idx_dir, tmp_path):

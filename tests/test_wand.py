@@ -114,7 +114,7 @@ def test_dismax_routed_exact(index):
 
 
 def test_dismax_hot_theta_exact_fuzz(index):
-    """With a hot theta (phase-2 of the global-threshold protocol), the
+    """With a hot theta (seeded from a worker's earlier segments), the
     DisMax tail prune must return the exact top-k of the full
     cursor-quirk evaluator (on a uniform corpus it rarely SKIPS — the
     qualifying blocks span the doc range — so this fuzz checks only

@@ -83,11 +83,7 @@ def cmd_search(args):
     if man is None:
         print(f"no index at {args.index}", file=sys.stderr)
         return 2
-    s = IndexSearcher(
-        args.index,
-        executor="ray" if args.executor == "ray" else "local",
-        weighting=args.weighting,
-    )
+    s = IndexSearcher(args.index, executor=args.executor, weighting=args.weighting)
     default_field = next(
         (f.name for f in man.schema.fields if f.kind == "text"), man.schema.fields[0].name
     )

@@ -601,7 +601,7 @@ def highlight_hit(searcher, docnum: int, fieldname: str, q, **kwargs) -> str:
         # strict phrase mode always retokenizes (the reference's strict
         # branch bypasses pinpoint char payloads too)
         return highlight(text, terms, fspec.analyzer, strict_phrase_q=q, **kwargs)
-    if getattr(fspec, "chars", False) and getattr(searcher, "executor", "local") == "local":
+    if getattr(fspec, "chars", False):
         spans = payload_spans(searcher, docnum, fieldname, terms)
         if spans is not None:
             return highlight_with_spans(text, spans, fspec.analyzer, **kwargs)
@@ -613,7 +613,7 @@ def payload_spans(searcher, docnum: int, fieldname: str, terms) -> set | None:
     from the Characters posting payloads of the owning segment."""
     spans: set = set()
     found_reader = False
-    for r in searcher.local.readers:
+    for r in searcher._local_worker().readers:
         seg = r.seg
         if not (seg.doc_base <= docnum < seg.doc_base + seg.doc_count):
             continue

@@ -45,17 +45,8 @@ def suggest(searcher, field: str, text: str, limit: int = 5, maxdist: int = 2, p
     lo = text[:prefix] if prefix else None
     hi = (text[:prefix] + "￿") if prefix else None
     cands = set()
-    workers = [searcher.local] if searcher.executor != "ray" else None
-    if workers is None:
-        specs = [(field, lo, hi, False, False)]
-        merged = searcher._expand(specs)
-        vocab = merged[specs[0]]
-    else:
-        vocab = set()
-        for r in searcher.local.readers:
-            vocab.update(r.expand_terms(field, start=lo, end=hi))
-        vocab = sorted(vocab)
-    for term in vocab:
+    spec = (field, lo, hi, False, False)
+    for term in searcher._expand([spec])[spec]:
         if term != text and levenshtein_within(text, term, maxdist):
             cands.add(term)
     if not cands:

@@ -298,9 +298,9 @@ def topk_dismax(
     the true cursor posting, or finds nothing exactly when the true
     cursor lies in the skipped tail (whose contribution is provably
     < theta and can't be the max of any surviving top-k doc).  With
-    theta = -inf (cold start) nothing is skipped — the hot path is
-    phase 2 of the two-phase global-threshold protocol, where theta
-    arrives pre-seeded from the other segments."""
+    theta = -inf (cold start) nothing is skipped — the hot path is a
+    worker's later segments, where theta arrives pre-seeded from the
+    segments it already evaluated."""
     from .exec import score_postings, term_scores
 
     infos = []

@@ -8,19 +8,23 @@ global stats, so per-segment top-k + heap merge equals whole-index top-k
 (ties by ascending docnum, matching the reference's (score, -docnum) heap,
 collectors.py:466-483).
 
-Two executors:
-  * local  — evaluate segments in-process (tests, small indexes, and the
-    driver-gate queries);
+Two executors, one fan-out path (``IndexSearcher._partials``):
+  * local  — one in-process worker over every segment (tests, small
+    indexes, and the driver-gate queries);
   * ray    — an actor pool, each actor pinning a disjoint set of segments
     with warm caches (terminfo/postings/doclens), queries fan out as actor
     calls.  This is the query-side scale path: segments partition the doc
     space, so adding nodes adds segment actors.
+Either way each worker returns one partial per call and the driver merges
+the partials once.  For block-max WAND top-k a worker threads its pruning
+threshold (theta) across its own segments; workers do not share theta.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import time
 from collections import OrderedDict
 
 import numpy as np
@@ -135,20 +139,22 @@ class _SegmentWorker:
                     out[term] = (w, df)
         return out
 
-    def doc_values(self, field: str, docnums) -> list:
-        """(docnum, value) pairs for docnums owned by this worker's
-        segments (sort/facet value fetch for the ray executor)."""
+    def doc_values(self, field: str, docnums) -> tuple:
+        """(docnums, values) arrays for the SORTED ``docnums`` owned by
+        this worker's segments (sort/facet value fetch)."""
         docnums = np.asarray(docnums, dtype=np.uint64)
-        out = []
+        subs, vals = [], []
         for r in self.readers:
             seg = r.seg
             lo = np.searchsorted(docnums, np.uint64(seg.doc_base))
             hi = np.searchsorted(docnums, np.uint64(seg.doc_base + seg.doc_count))
             sub = docnums[lo:hi]
             if sub.size:
-                vals = r.column(field)[r.dense_index(sub)]
-                out.extend(zip(sub.tolist(), vals.tolist()))
-        return out
+                subs.append(sub)
+                vals.append(r.column(field)[r.dense_index(sub)])
+        if not subs:
+            return np.empty(0, np.uint64), np.empty(0, object)
+        return np.concatenate(subs), np.concatenate(vals)
 
     # ---- per-segment partial aggregates (facet/sort/collapse/parent) -----
     # The scale path for the aggregate searches: each worker evaluates the
@@ -371,11 +377,10 @@ class _SegmentWorker:
         scored=True,
         allowed=None,
         forbidden=None,
-        seg_slice: str | None = None,
-        initial_theta: float = -np.inf,
-        return_theta: bool = False,
+        deadline: float | None = None,
     ):
-        """Per-worker matches; top-`limit` per segment when limit is set.
+        """Per-worker matches as ``(docs, scores, complete)``; top-`limit`
+        per segment when limit is set.
 
         ``allowed``/``forbidden``: sorted docnum arrays from the search's
         filter/mask queries (reference collectors.py:659-761 FilterCollector)
@@ -385,21 +390,20 @@ class _SegmentWorker:
         per-block (max_weight, min_len_byte) bounds prune block decodes,
         mirroring the reference's block_quality skipping
         (collectors.py:376-420) — exact, so results match the full path.
+        The WAND threshold (theta) threads across this worker's segments
+        in order, like the reference's sequential per-segment loop
+        (collectors.py:139-146).
 
-        ``seg_slice``: "first" = only this worker's first segment, "rest" =
-        all but the first (the driver's two-phase global-theta protocol);
-        ``initial_theta`` seeds the WAND threshold (a global lower bound on
-        the final kth-best score); ``return_theta`` appends the worker's
-        final threshold to the return tuple."""
+        ``deadline`` (absolute ``time.time()``): checked before each
+        segment; once passed, the remaining segments are skipped and
+        ``complete`` is False (the matches so far are still returned)."""
         from .._rayutil import consume_fault_flag
         from ..query.wand import (
-            WAND_MODELS, topk_dismax, topk_wand, wandable_dismax, wandable_terms,
+            WAND_MODELS, _topk_cut, topk_dismax, topk_wand, wandable_dismax,
+            wandable_terms,
         )
 
-        # getattr: the timelimit path builds bare per-reader workers via
-        # __new__ (no __init__, no flag) — fault injection targets only
-        # fully-constructed actors
-        consume_fault_flag(getattr(self, "_fault_flag", None))
+        consume_fault_flag(self._fault_flag)
 
         can_wand = (
             scored
@@ -418,13 +422,12 @@ class _SegmentWorker:
             excluded = (
                 np.union1d(excluded, forbidden) if excluded is not None else forbidden
             )
-        readers = self.readers
-        if seg_slice == "first":
-            readers = readers[:1]
-        elif seg_slice == "rest":
-            readers = readers[1:]
-        theta = initial_theta  # threshold threads across this worker's segments
-        for r in readers:
+        complete = True
+        theta = -np.inf  # threshold threads across this worker's segments
+        for r in self.readers:
+            if deadline is not None and time.time() >= deadline:
+                complete = False
+                break
             if wand_terms:
                 mode, tlist = wand_terms
                 st: dict = {}
@@ -449,23 +452,28 @@ class _SegmentWorker:
                     m = np.isin(docs, allowed)
                     docs, scores = docs[m], scores[m]
                 if limit is not None and docs.size > limit:
-                    from ..query.wand import _topk_cut
-
                     top = _topk_cut(docs, scores, limit)
                     docs, scores = docs[top], scores[top]
             docs_all.append(docs)
             scores_all.append(scores)
-        out = (
+        return (
             np.concatenate(docs_all) if docs_all else np.empty(0, np.uint64),
             np.concatenate(scores_all) if scores_all else np.empty(0, np.float64),
+            complete,
         )
-        if return_theta:
-            return out + (theta,)
-        return out
 
 
 # canonical home is the AST module (Regex._find_prefix / simplify use it)
 from ..query.ast import regex_prefix as _regex_prefix  # noqa: E402
+
+
+def _sum_partials(parts) -> dict:
+    """Key-wise sum of per-worker {key: number} partials."""
+    out: dict = {}
+    for p in parts:
+        for k, v in p.items():
+            out[k] = out.get(k, 0) + v
+    return out
 
 
 class TimeLimitExceeded(Exception):
@@ -539,7 +547,6 @@ class IndexSearcher:
             groups = [list(range(i, n_seg, num_actors)) for i in range(num_actors)]
             groups = [g for g in groups if g]
             self.workers = [Actor.remote(index_dir, mdict, g) for g in groups]
-            self._group_sizes = [len(g) for g in groups]
             self._ray = ray
         else:
             self.local = _SegmentWorker(
@@ -698,30 +705,15 @@ class IndexSearcher:
         return out
 
     def frequencies(self, terms: list) -> dict:
-        if self.executor == "ray":
-            parts = self._ray.get([w.frequencies.remote(terms) for w in self.workers])
-            out: dict = {}
-            for p in parts:
-                for k, v in p.items():
-                    out[k] = out.get(k, 0.0) + v
-            return out
-        return self.local.frequencies(terms)
+        return _sum_partials(self._partials("frequencies", terms))
 
     def _term_stats(self, field: str, prefix: str = "") -> dict:
-        if self.executor == "ray":
-            parts = self._ray.get(
-                [w.term_stats.remote(field, prefix) for w in self.workers]
-            )
-            out: dict = {}
-            for p in parts:
-                for term, (w, df) in p.items():
-                    if term in out:
-                        ow, odf = out[term]
-                        out[term] = (ow + w, odf + df)
-                    else:
-                        out[term] = (w, df)
-            return out
-        return self.local.term_stats(field, prefix)
+        out: dict = {}
+        for p in self._partials("term_stats", field, prefix):
+            for term, (w, df) in p.items():
+                ow, odf = out.get(term, (0, 0))
+                out[term] = (ow + w, odf + df)
+        return out
 
     def lexicon(self, field: str, prefix: str = "") -> list:
         """Sorted terms of a field (reference reader.lexicon /
@@ -826,24 +818,11 @@ class IndexSearcher:
         )
 
     def _doc_freqs(self, terms: list) -> dict:
-        if self.executor == "ray":
-            parts = self._ray.get([w.doc_freqs.remote(terms) for w in self.workers])
-            out = {}
-            for p in parts:
-                for k, v in p.items():
-                    out[k] = out.get(k, 0) + v
-            return out
-        return self.local.doc_freqs(terms)
+        return _sum_partials(self._partials("doc_freqs", terms))
 
     def _expand(self, specs: list) -> dict:
-        if self.executor == "ray":
-            parts = self._ray.get([w.expand_terms.remote(specs) for w in self.workers])
-            out = {s: set() for s in specs}
-            for p in parts:
-                for s, terms in p.items():
-                    out[s].update(terms)
-            return {s: sorted(v) for s, v in out.items()}
-        return self.local.expand_terms(specs)
+        parts = self._partials("expand_terms", specs)
+        return {s: sorted(set().union(*(p[s] for p in parts))) for s in specs}
 
     # ---- query rewrite (global multiterm expansion) ----------------------
 
@@ -1157,11 +1136,9 @@ class IndexSearcher:
         docs matching it (reference search(filter=..., mask=...)); scores
         are unaffected.  ``timelimit`` (seconds) raises
         :class:`TimeLimitExceeded` with partial results if evaluation runs
-        over budget (checked between segments, like the reference's
-        matcher-step checks)."""
-        import time as _time
-
-        t0 = _time.perf_counter() if timelimit is not None else None
+        over budget (each worker checks the deadline between its segments,
+        like the reference's matcher-step checks)."""
+        deadline = None if timelimit is None else time.time() + timelimit
         allowed = forbidden = None
         if filter is not None:
             allowed = self.search(filter, limit=None, scored=False)["docnum"].to_numpy()
@@ -1169,92 +1146,17 @@ class IndexSearcher:
             forbidden = self.search(mask, limit=None, scored=False)["docnum"].to_numpy()
         q = self._rewrite(q)
         ctx = self._context(q)
-        if self.executor == "ray":
-            docs, scores = self._ray_evaluate(q, ctx, limit, scored, allowed, forbidden)
-        elif timelimit is not None:
-            docs_l, scores_l = [], []
-            for r in self.local.readers:
-                if _time.perf_counter() - t0 > timelimit:
-                    partial = self._format_results(
-                        np.concatenate(docs_l) if docs_l else np.empty(0, np.uint64),
-                        np.concatenate(scores_l) if scores_l else np.empty(0, np.float64),
-                        limit,
-                    )
-                    raise TimeLimitExceeded(partial)
-                w = _SegmentWorker.__new__(_SegmentWorker)
-                w.readers = [r]
-                w.excluded = self.local.excluded
-                d, sc = w.evaluate(q, ctx, limit, scored, allowed, forbidden)
-                docs_l.append(d)
-                scores_l.append(sc)
-            docs = np.concatenate(docs_l) if docs_l else np.empty(0, np.uint64)
-            scores = np.concatenate(scores_l) if scores_l else np.empty(0, np.float64)
-        else:
-            docs, scores = self.local.evaluate(q, ctx, limit, scored, allowed, forbidden)
-        return self._format_results(docs, scores, limit)
-
-    def _ray_evaluate(self, q, ctx, limit, scored, allowed, forbidden):
-        """Actor fan-out.  For WAND-prunable top-k queries over multi-segment
-        workers, runs the TWO-PHASE global-threshold protocol: phase 1
-        evaluates every worker's first segment in parallel; the merged
-        kth-best score is a valid lower bound on the final global kth-best
-        (adding more candidates only raises it), so phase 2 evaluates the
-        remaining segments with that threshold pre-seeded — the distributed
-        analogue of the reference's threshold threading across its
-        sequential per-segment loop (collectors.py:139-146, 376-420).
-        Exact: phase-2 pruning only drops docs provably below the final
-        kth-best."""
-        from ..query.wand import WAND_MODELS, wandable_dismax, wandable_terms
-
-        two_phase = (
-            scored
-            and limit is not None
-            and ctx.model in WAND_MODELS
-            and not ctx.field_models
-            and not ctx.reverse
-            and (wandable_terms(q) is not None or wandable_dismax(q) is not None)
-            and any(n > 1 for n in self._group_sizes)
+        parts = self._partials(
+            "evaluate", q, ctx, limit, scored, allowed, forbidden, deadline
         )
-        if not two_phase:
-            parts = self._ray.get(
-                [
-                    w.evaluate.remote(q, ctx, limit, scored, allowed, forbidden)
-                    for w in self.workers
-                ]
-            )
-            return (
-                np.concatenate([p[0] for p in parts]),
-                np.concatenate([p[1] for p in parts]),
-            )
-        p1 = self._ray.get(
-            [
-                w.evaluate.remote(
-                    q, ctx, limit, scored, allowed, forbidden, "first", -np.inf, True
-                )
-                for w in self.workers
-            ]
+        res = self._format_results(
+            np.concatenate([p[0] for p in parts]),
+            np.concatenate([p[1] for p in parts]),
+            limit,
         )
-        docs1 = np.concatenate([p[0] for p in p1])
-        scores1 = np.concatenate([p[1] for p in p1])
-        theta = max((p[2] for p in p1), default=-np.inf)
-        if scores1.size >= limit:
-            kth = np.partition(scores1, scores1.size - limit)[scores1.size - limit]
-            theta = max(theta, kth)
-        rest = [
-            (w, n) for w, n in zip(self.workers, self._group_sizes) if n > 1
-        ]
-        p2 = self._ray.get(
-            [
-                w.evaluate.remote(
-                    q, ctx, limit, scored, allowed, forbidden, "rest", theta, False
-                )
-                for w, _ in rest
-            ]
-        )
-        return (
-            np.concatenate([docs1] + [p[0] for p in p2]),
-            np.concatenate([scores1] + [p[1] for p in p2]),
-        )
+        if not all(p[2] for p in parts):
+            raise TimeLimitExceeded(res)
+        return res
 
     def _format_results(self, docs, scores, limit) -> pa.Table:
         n = docs.size
@@ -1283,29 +1185,20 @@ class IndexSearcher:
     # reference builds per-segment column caches for the same purpose).
 
     def _doc_values(self, field: str, docnums: np.ndarray) -> np.ndarray:
-        """Field values aligned to the given SORTED docnums (segment columns
-        locally; actor fan-out on the ray executor)."""
-        if self.executor == "ray":
-            pairs: list = []
-            for part in self._ray.get(
-                [w.doc_values.remote(field, docnums) for w in self.workers]
-            ):
-                pairs.extend(part)
-            pairs.sort()
-            return np.array([v for _, v in pairs], dtype=object)
-        out = []
-        for r in self.local.readers:
-            seg = r.seg
-            lo = np.searchsorted(docnums, np.uint64(seg.doc_base))
-            hi = np.searchsorted(docnums, np.uint64(seg.doc_base + seg.doc_count))
-            sub = docnums[lo:hi]
-            if sub.size:
-                out.append(r.column(field)[r.dense_index(sub)])
-        return np.concatenate(out) if out else np.empty(0, dtype=object)
+        """Field values aligned to the given SORTED docnums, fetched from
+        the owning segments' columns."""
+        parts = [p for p in self._partials("doc_values", field, docnums) if p[0].size]
+        if not parts:
+            return np.empty(0, dtype=object)
+        docs = np.concatenate([p[0] for p in parts])
+        vals = np.concatenate([p[1] for p in parts])
+        return vals[np.argsort(docs, kind="stable")]
 
     def _partials(self, method: str, *args) -> list:
-        """Fan a partial-aggregate method out to every worker (ray actors or
-        the in-process worker) and return the list of partials."""
+        """Run one ``_SegmentWorker`` method on every worker and return the
+        list of partials: ``ray.get`` over the actor pool, or one call on
+        the in-process worker.  Every worker operation goes through here,
+        so this is the one place that knows the executor."""
         if self.executor == "ray":
             return self._ray.get(
                 [getattr(w, method).remote(*args) for w in self.workers]
@@ -1377,11 +1270,8 @@ class IndexSearcher:
         q = self._rewrite(q)
         ctx = self._context(q)
         parts = self._partials("grouped_partial", q, ctx, fieldlist, maptype)
-        groups = {}
         if maptype == "count":
-            for p in parts:
-                for k, n in p.items():
-                    groups[k] = groups.get(k, 0) + n
+            groups = _sum_partials(parts)
         elif maptype == "best":
             merged: dict = {}
             for p in parts:
@@ -1418,11 +1308,7 @@ class IndexSearcher:
         per-segment np.unique partials, key-bounded driver merge."""
         q = self._rewrite(q)
         ctx = self._context(q)
-        out: dict = {}
-        for p in self._partials("facet_partial", q, ctx, field, "count", None):
-            for k, n in p.items():
-                out[k] = out.get(k, 0) + n
-        return out
+        return _sum_partials(self._partials("facet_partial", q, ctx, field, "count", None))
 
     def facet_counts_range(
         self, q: ast.Query, field: str, start, end, gap
@@ -1450,12 +1336,9 @@ class IndexSearcher:
             lo, hi, g = start, end, gap
         q = self._rewrite(q)
         ctx = self._context(q)
-        counts: dict = {}
-        for p in self._partials(
+        counts = _sum_partials(self._partials(
             "facet_partial", q, ctx, field, "range", (lo, hi, g, is_dt)
-        ):
-            for b, n in p.items():
-                counts[b] = counts.get(b, 0) + n
+        ))
         if is_dt:
             return {
                 (
