@@ -33,8 +33,8 @@ if _REPO not in sys.path:
 
 def entry() -> Any:
     """Flagship pipeline on /root/testdata/sf0.001: derive the transcripts
-    corpus, build the inverted index (read -> tokenize map_batches ->
-    term-shard shuffle -> segment write -> manifest commit), then run a BM25
+    corpus, build the inverted index (read + tokenize map tasks ->
+    term-shard exchange -> segment write tasks -> manifest commit), then run a BM25
     search and return the top hits with stored fields."""
     from whoosh_reloaded_ray.pipelines.fulltext import get_searcher
     from whoosh_reloaded_ray.query import And, Or, Term

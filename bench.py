@@ -4,7 +4,7 @@
 Default run (the driver's per-round job): over ``$GRAFT_SF_DIR`` (default
 /root/testdata/sf0.1) —
   1. derive the transcripts corpus and build the inverted index end-to-end
-     (read -> tokenize map_batches -> term-shard shuffle -> segment write ->
+     (read + tokenize map tasks -> term-shard exchange -> segment write tasks ->
      manifest commit) into a fresh /tmp dir, timed;
   2. run the reference query set (term/and/or/dismax/phrase/not/prefix/
      wildcard/range) against the warm searcher, timed per query (median of

@@ -8,7 +8,7 @@ far as a single machine allows:
   storage);
 - runtime_env ``py_modules`` packaging of the whoosh_reloaded_ray package
   (workers import the uploaded copy; the repo path is NOT injected);
-- the full index build pipeline (Ray Data shuffle across both raylets);
+- the full index build pipeline (map and write tasks across both raylets);
 - the ray-executor searcher with segment actors placed on BOTH nodes
   (SPREAD scheduling), verified against the local executor's results;
 - with --fs-uri, the index lives behind a pyarrow.fs URI (file://<tmp>)

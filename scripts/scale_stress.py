@@ -95,13 +95,14 @@ def phase_gen(turns: int, cpus: int) -> dict:
 
 def phase_build(turns: int, cpus: int, index_dir: str, rows_per_segment: int = 0) -> dict:
     """rows_per_segment=0 -> ONE segment spanning the corpus (the naive
-    config: its term shuffle spans all postings at once — measured 11.2k
-    turns/s with 29.6 GiB of object-store spill at 10M turns).
+    config: its term-shard exchange spans all postings at once — measured
+    11.2k turns/s with 29.6 GiB of object-store spill at 10M turns, with
+    the former Ray Data groupby exchange).
     rows_per_segment>0 -> BOUNDED segments, the 100 TB configuration: each
-    segment is one pipeline whose shuffle working set fits the object
-    store (no spill), built sequentially with a manifest commit after each
-    (resume unit).  Size it so postings-per-segment ~ a third of the
-    aggregate object store."""
+    segment is one exchange whose working set fits the object store,
+    built one at a time with a manifest commit after each (resume unit).
+    Size it so postings-per-segment ~ a third of the aggregate object
+    store."""
     import glob
     import shutil
 
@@ -217,12 +218,10 @@ def main():
         return
 
     os.makedirs(WORK, exist_ok=True)
-    # bounded-segment default: ~4 segments at the full 10M size — with the
-    # build's overlap depth of 2, in-flight shuffle state is then half the
-    # corpus, which fits the object store (0 spill measured), while bigger
-    # segments keep each pipeline's stages saturated (measured 85.2k
-    # turns/s at 4x2.5M/depth-2 vs 51k at 8x1.25M/depth-4 on 32 CPUs);
-    # 0 would mean one corpus-spanning shuffle (29.6 GiB spill at 10M)
+    # bounded-segment default: ~4 segments at the full 10M size — build
+    # runs one segment at a time, so in-flight exchange state is a quarter
+    # of the corpus; 0 would mean one corpus-spanning exchange (29.6 GiB
+    # spill at 10M, measured with the former Ray Data groupby)
     rps = args.rows_per_segment or max(args.turns // 4, 250_000)
     report = {"turns": args.turns}
     report["gen"] = _run_phase("gen", args.cpus, turns=args.turns)

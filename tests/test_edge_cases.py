@@ -35,6 +35,26 @@ def tiny(ray_session, tmp_path_factory):
     return IndexSearcher(idx)
 
 
+def test_build_with_empty_shards(ray_session, tmp_path):
+    """More shards than terms: most write tasks get no rows and return no
+    summary row; the segment still counts every term and posting."""
+    from whoosh_reloaded_ray.pipelines.build import build_index
+    from whoosh_reloaded_ray.schema import IndexSchema, id_field, text_field
+
+    path = str(tmp_path / "docs.parquet")
+    pq.write_table(pa.table({"key": ["a", "b"], "body": ["two words", "words"]}), path)
+    schema = IndexSchema(fields=[id_field("key"), text_field("body")])
+    segs = [
+        build_index([path], str(tmp_path / f"idx{n}"), schema=schema, num_shards=n).segments
+        for n in (1, 64)
+    ]
+    assert [(s.n_terms, s.n_postings, s.field_lengths) for s in segs[0]] == [
+        (s.n_terms, s.n_postings, s.field_lengths) for s in segs[1]
+    ]
+    hits = IndexSearcher(str(tmp_path / "idx64")).search(Term("body", "words"), limit=None)
+    assert hits.num_rows == 2
+
+
 def test_null_and_empty_texts(tiny):
     assert tiny.doc_count_all() == 3
     assert tiny.search(Term("body", "words"), limit=None).num_rows == 1

@@ -238,3 +238,48 @@ def test_workers_import_package_from_pythonpath(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-4000:]
+
+
+_ONE_CPU_SCRIPT = """
+import ray
+
+ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
+from whoosh_reloaded_ray.pipelines.build import build_index
+from whoosh_reloaded_ray.pipelines.merge import maybe_merge
+from whoosh_reloaded_ray.pipelines.write_ops import append_documents
+from whoosh_reloaded_ray.query import Or, Term
+from whoosh_reloaded_ray.sources.corpus import generate_transcripts
+from whoosh_reloaded_ray.state.searcher import IndexSearcher
+
+generate_transcripts("t.parquet", n_turns=300, avg_turn_words=20, seed=5, rows_per_file=150)
+generate_transcripts("u.parquet", n_turns=100, avg_turn_words=20, seed=6)
+man = build_index(["t.parquet"], "idx", num_shards=2, partition_rows=150, rows_per_segment=150)
+assert len(man.segments) == 2
+assert len(append_documents("idx", "u.parquet").segments) == 3
+assert len(maybe_merge("idx", optimize=True).segments) == 1
+q = Or([Term("text", "aabjx"), Term("text", "aacdod")])  # frequent words at seed 5
+a = IndexSearcher("idx").search(q, limit=10)
+b = IndexSearcher("idx", executor="ray", num_actors=1).search(q, limit=10)
+assert a.num_rows > 0
+assert a["docnum"].to_pylist() == b["docnum"].to_pylist()
+assert a["score"].to_pylist() == b["score"].to_pylist()
+ray.shutdown()
+"""
+
+
+def test_one_cpu_build_append_merge(tmp_path):
+    """A Ray session with one CPU builds two segments, appends a third,
+    merges them and serves the result: no build stage holds a CPU that
+    another stage of the same build waits for."""
+    import os
+    import subprocess
+    import sys
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "RAY_ADDRESS"}
+    env["PYTHONPATH"] = repo
+    proc = subprocess.run(
+        [sys.executable, "-c", _ONE_CPU_SCRIPT],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-4000:]

@@ -111,6 +111,9 @@ def test_delete_then_append_and_update(corpus, idx, ray_session, tmp_path):
     )
     pq.write_table(out, extra, row_group_size=50)
 
+    # a write option the engine does not take is an error, not ignored
+    with pytest.raises(TypeError):
+        write_ops.append_documents(idx, extra, writer_concurrency=2)
     write_ops.append_documents(idx, extra, partition_rows=50)
     s1 = IndexSearcher(idx)
     assert s1.manifest.doc_count == n0 + 100

@@ -3,13 +3,12 @@
 A from-scratch rebuild of the *capabilities* of Sygil-Dev/whoosh-reloaded
 (reference at /root/reference, studied for semantics only — no code copied):
 schema-driven analysis chain -> distributed posting-list construction
-(map_batches tokenize -> groupby-shard shuffle -> actor/segment reducers) ->
+(tokenize map tasks -> term-shard exchange -> segment write tasks) ->
 immutable segments with a manifest (TOC equivalent) -> BM25F query execution
 with whoosh-parity scoring and matcher semantics.
 
-Everything is expressed Ray-Data-first: ``ray.data.Dataset`` pipelines over
-zero-copy Arrow batches; raw actors only where a shared searcher state is
-genuinely needed.
+Work runs as Ray tasks over zero-copy Arrow batches; actors only where a
+shared searcher state is genuinely needed.
 """
 
 __version__ = "0.1.0"

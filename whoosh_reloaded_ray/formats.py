@@ -23,7 +23,7 @@ Usage::
     formats.register_format("myfmt", MyFormat())
     # FieldSpec(name=..., ..., format="myfmt") routes the field through the
     # codec: encode runs in the tokenizer stage (once per (doc, term)),
-    # the payload rides the posting shuffle in the generic binary
+    # the payload rides the posting exchange in the generic binary
     # ``payload`` column (varint-length-framed per posting inside each
     # 128-posting block), and Searcher.payload(docnum, field, term) /
     # SegmentReader.payload(...) hand the raw bytes back for decode().

@@ -91,7 +91,7 @@ def binary_array_from_offsets(data, byte_offsets, large: bool = True):
     """Zero-copy pyarrow binary array over ``data`` (uint8 np array /
     bytes) cut at ``byte_offsets`` (len n+1, starting at 0).  ``large``
     selects 64-bit offsets (block blobs) vs 32-bit (per-posting streams —
-    half the offset overhead through the shuffle)."""
+    half the offset overhead through the exchange)."""
     import numpy as np
     import pyarrow as pa
 

@@ -1,38 +1,57 @@
-"""Index build pipeline: read -> tokenize -> shard shuffle -> segment write.
+"""Index build pipeline: read -> tokenize -> shard exchange -> segment write.
 
-The Ray-Data-native equivalent of the reference's MpWriter map->sort->reduce
-build (multiproc.py:61-351), with the parent-side single-threaded merge
-replaced by the groupby(term-shard) shuffle:
+The Ray equivalent of the reference's MpWriter map->sort->reduce build
+(multiproc.py:61-351), with the parent-side single-threaded merge replaced
+by an exchange keyed on the term shard, built from plain Ray tasks:
 
-    read_corpus(partitions)                       # stateless read tasks,
-                                                  #   docnums from the plan
-      .map_batches(Tokenizer, batch_format=...)   # analysis chain, vectorized
-      .groupby("shard").map_groups(ShardSegmentWriter)  # the shuffle + reduce
-      -> per-shard parquet block files + terminfo + doclens
-    commit_manifest()                             # atomic TOC generation
+    map task per partition:   read_partition -> Tokenizer -> sort by shard
+                              -> one Arrow IPC slice per shard
+                                 (num_returns=num_shards)
+    write task per shard:     concat its slices -> ShardSegmentWriter
+                              -> postings/terminfo/doclens parquet files
+                              -> its summary row (none if empty) as dicts
+    driver:                   sum the shard summaries -> SegmentMeta
+    commit_manifest()         # atomic TOC generation
 
-Checkpoint/resume: segments are committed one manifest generation at a
-time; a resumed build diff's the plan against committed lineage and only
-runs missing segments.  A killed run leaves at most uncommitted shard files
-that the resume overwrites atomically.
+What crosses a task boundary is an Arrow IPC buffer or a plain dict, never
+a ``pa.Table``: Ray pickles a table through a Python-level per-column
+reducer, which held each segment's exchange up by 25-100 ms, varying from
+run to run (the first table a process sends pays extra), where IPC slices
+take about 12 ms.  The two task functions are made remote once per
+process, so Ray exports them and each worker fetches them once, not once
+per segment.
 
-Scale: each segment group is one bounded sub-pipeline that saturates the
-cluster (read/tokenize/shuffle stream concurrently with backpressure); at
-100 TB you get N_segments sequential waves, each an all-to-all over only
-``rows_per_segment`` rows — the shuffle never spans the whole corpus and a
-lost wave costs one segment, not the build.
+Ray retries a map or write task whose worker died; every file write is
+atomic (tmp + rename) and the output is byte-deterministic, so a retry
+yields the same segment.  Tasks hold no CPUs beyond their own run, so a
+build finishes on any cluster size, one CPU included.
+
+Checkpoint/resume: segments are built one at a time and committed one
+manifest generation each, in plan order; a resumed build diffs the plan
+against committed lineage and only runs missing segments.  A killed run
+leaves at most uncommitted shard files that the resume overwrites
+atomically.
+
+Scale: each segment is one bounded exchange over only ``rows_per_segment``
+rows — the exchange never spans the whole corpus and a lost segment costs
+one segment, not the build.
 """
 
 from __future__ import annotations
 
-import gc
+import functools
+import json
 import logging
 import time
 
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+
 from ..schema import IndexSchema, transcript_schema
-from ..sources.corpus import Partition, plan_partitions, read_corpus
+from ..sources.corpus import Partition, plan_partitions, read_partition
 from ..stages.segment_write import ShardSegmentWriter
-from ..stages.tokenize import LEN_SENTINEL, Tokenizer
+from ..stages.tokenize import Tokenizer
 from ..state.manifest import Manifest, SegmentMeta, commit_manifest, load_manifest
 
 logger = logging.getLogger(__name__)
@@ -46,8 +65,6 @@ def build_index(
     rows_per_segment: int | None = None,
     partition_rows: int | None = None,
     resume: bool = True,
-    tokenizer_concurrency=None,
-    writer_concurrency: int | None = None,
     salted_terms: dict | None = None,
     salt_df_ratio: float | None = None,
     salt_sample_rows: int = 100_000,
@@ -161,79 +178,50 @@ def build_index(
             )
         to_build.append((i, spec))
 
-    if not to_build:
-        return manifest
-
-    import ray as _ray
-
-    cpus = int(_ray.cluster_resources().get("CPU", 8)) if _ray.is_initialized() else 8
-
-    # Shuffle algorithm: the per-segment groupby("shard") is a sort
-    # shuffle.  On wide clusters the pull-based exchange's wall time is
-    # dominated by per-object pulls that don't scale with CPUs (measured
-    # 53k -> 63k turns/s at 32 CPUs on a 1.25M-row segment when switched);
-    # push-based pre-merges partitions and wins at width, while narrow
-    # clusters keep the cheaper pull-based default.
-    _ctx = _saved_strategy = None
-    try:
-        from ray.data.context import DataContext, ShuffleStrategy
-
-        _ctx = DataContext.get_current()
-        _saved_strategy = _ctx.shuffle_strategy
-        if cpus >= 16:
-            _ctx.shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED
-    except Exception:  # older Ray without the knob keeps its default
-        _ctx = None
-
-    # Overlap consecutive segment builds: each segment pipeline ends in a
-    # shuffle + bounded reducer tail during which the tokenize stage is
-    # idle; running the NEXT segment's read/tokenize under that tail keeps
-    # the cluster busy.  Commits stay strictly in plan order so resume
-    # semantics are unchanged (a crash commits only a prefix).  Depth 2 is
-    # the measured sweet spot (10M-turn / 32-CPU probe, 2026-08-19:
-    # depth 2 = 85.2k turns/s vs depth 4 = 42-51k — more concurrent
-    # pipelines fragment the per-stage actor pools and thrash the driver's
-    # per-dataset executors) and bounds in-flight shuffle memory to TWO
-    # segments — size rows_per_segment so 2 x segment postings fits the
-    # aggregate object store.
-    overlap = 1 if len(to_build) < 2 or cpus < 8 else 2
-    try:
-        if overlap == 1:
-            for i, spec in to_build:
-                seg = _build_segment(
-                    f"seg-{i:05d}", spec, index_dir, schema, num_shards,
-                    tokenizer_concurrency, writer_concurrency, salted_terms,
-                    autoscale_writers=False,
-                )
-                manifest.segments.append(seg)
-                manifest.segments.sort(key=lambda s: s.doc_base)
-                commit_manifest(index_dir, manifest)
-        else:
-            import concurrent.futures as _futmod
-
-            done_metas: dict = {}
-            pending = [i for i, _ in to_build]
-            with _futmod.ThreadPoolExecutor(max_workers=overlap) as pool:
-                futs = {
-                    pool.submit(
-                        _build_segment,
-                        f"seg-{i:05d}", spec, index_dir, schema, num_shards,
-                        tokenizer_concurrency, writer_concurrency, salted_terms,
-                        True,  # autoscale_writers: pipelines share the CPUs
-                    ): i
-                    for i, spec in to_build
-                }
-                for fut in _futmod.as_completed(futs):
-                    done_metas[futs[fut]] = fut.result()
-                    while pending and pending[0] in done_metas:
-                        j = pending.pop(0)
-                        manifest.segments.append(done_metas.pop(j))
-                        manifest.segments.sort(key=lambda s: s.doc_base)
-                        commit_manifest(index_dir, manifest)
-    finally:
-        if _ctx is not None:
-            _ctx.shuffle_strategy = _saved_strategy
+    for i, spec in to_build:
+        seg = _build_segment(
+            f"seg-{i:05d}", spec, index_dir, schema, num_shards, salted_terms
+        )
+        manifest.segments.append(seg)
+        manifest.segments.sort(key=lambda s: s.doc_base)
+        commit_manifest(index_dir, manifest)
     return manifest
+
+
+def _map_partition(part: Partition, columns: list, tok: Tokenizer, num_shards: int):
+    """Map task: one partition's postings, cut into one slice per shard
+    (slice k holds shard k's rows, possibly none), each an Arrow IPC
+    stream."""
+    postings = tok(read_partition(part, columns=columns))
+    postings = postings.take(pc.sort_indices(postings, sort_keys=[("shard", "ascending")]))
+    bounds = np.searchsorted(postings["shard"].to_numpy(), np.arange(num_shards + 1))
+    slices = [_to_ipc(postings.slice(a, b - a)) for a, b in zip(bounds[:-1], bounds[1:])]
+    return slices if num_shards > 1 else slices[0]
+
+
+def _to_ipc(table: pa.Table) -> pa.Buffer:
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, table.schema) as writer:
+        writer.write_table(table)
+    return sink.getvalue()
+
+
+def _write_shard(seg_dir: str, *slices: pa.Buffer) -> list:
+    """Write task: one shard's slices from every map task -> its files;
+    returns the shard's summary rows (none for an empty shard)."""
+    table = pa.concat_tables([pa.ipc.open_stream(s).read_all() for s in slices])
+    return ShardSegmentWriter(seg_dir)(table).to_pylist()
+
+
+@functools.cache
+def _remote_tasks():
+    """The map and write tasks as Ray remote functions.  Each ``ray.remote``
+    wrapper has its own function id, which the driver exports and each
+    worker fetches before its first run of it; made once, a process pays
+    that once rather than per segment."""
+    import ray
+
+    return ray.remote(num_cpus=1)(_map_partition), ray.remote(num_cpus=1)(_write_shard)
 
 
 def _build_segment(
@@ -242,12 +230,11 @@ def _build_segment(
     index_dir: str,
     schema: IndexSchema,
     num_shards: int,
-    tokenizer_concurrency,
-    writer_concurrency: int | None = None,
     salted_terms: dict | None = None,
-    autoscale_writers: bool = False,
 ) -> SegmentMeta:
     t0 = time.time()
+    import ray
+
     from ..state import storage
 
     seg_dir = storage.join(index_dir, name)
@@ -264,64 +251,29 @@ def _build_segment(
     indexed_cols += [c for c in src_cols if c == "_boost" or (
         c.startswith("_") and c.endswith("_boost") and c[1:-6] in set(indexed_cols)
     )]
-    ds = read_corpus(spec, columns=indexed_cols)
-    tok = Tokenizer(
+    tok = ray.put(Tokenizer(
         schema,
         num_shards=num_shards,
         salted=salted_terms,
         doc_range=(doc_base, doc_count),
-    )
-    kwargs = {}
-    if tokenizer_concurrency:
-        kwargs["concurrency"] = tokenizer_concurrency
-    postings = ds.map_batches(tok, batch_format="pyarrow", **kwargs)
+    ))
+    map_task, write_task = _remote_tasks()
+    map_task = map_task.options(num_returns=num_shards)
+    slices = [map_task.remote(p, indexed_cols, tok, num_shards) for p in spec]
+    if num_shards == 1:
+        slices = [[ref] for ref in slices]
+    summary = [row for rows in ray.get([
+        write_task.remote(seg_dir, *(refs[k] for refs in slices))
+        for k in range(num_shards)
+    ]) for row in rows]
 
-    # Reducer = stateful actor pool with BOUNDED concurrency (~cpus/4):
-    # unbounded write tasks run concurrently with every tokenizer and
-    # memory-bandwidth-thrash each other (measured 5-20x UDF cpu-time
-    # inflation at 32-way); a small pool doubles end-to-end throughput and
-    # leaves the remaining cores to the tokenize stage.
-    if writer_concurrency is None:
-        import ray
-
-        total_cpus = int(ray.cluster_resources().get("CPU", 8))
-        writer_concurrency = max(2, total_cpus // 4)
-    summary = (
-        postings.groupby("shard")
-        .map_groups(
-            ShardSegmentWriter,
-            fn_constructor_args=(seg_dir,),
-            # When OVERLAPPED with sibling segment pipelines, the pool
-            # autoscales (2..N): a fixed-size pool RESERVES its actors'
-            # CPUs for the pipeline's whole lifetime and starves the
-            # siblings' tokenize stages.  A lone pipeline keeps the fixed
-            # pool — autoscale spin-up lag costs ~20% on short builds.
-            concurrency=(
-                (min(2, writer_concurrency), writer_concurrency)
-                if autoscale_writers
-                else writer_concurrency
-            ),
-            batch_format="pyarrow",
-        )
-        .to_pandas()
-    )
-    # Ray Data releases the writer pool by dropping its actor handles, but
-    # the finished executor holds them in reference cycles: until a full
-    # collection the actors stay alive and keep their CPUs, and the next
-    # build's fixed pool plus its tokenize tasks can wait on them forever.
-    del ds, postings
-    gc.collect()
-
-    # field totals for avgfl: each shard reducer pre-aggregates its doclen
+    # field totals for avgfl: each shard writer pre-aggregates its doclen
     # sentinel rows and ships the per-field sums back in its summary row —
     # no second driver pass over the doclens parquet
-    import json as _json
-
     field_lengths: dict = {}
-    if len(summary):
-        for s in summary["field_lengths_json"]:
-            for f, v in _json.loads(s).items():
-                field_lengths[f] = field_lengths.get(f, 0) + int(v)
+    for s in summary:
+        for f, v in json.loads(s["field_lengths_json"]).items():
+            field_lengths[f] = field_lengths.get(f, 0) + int(v)
 
     salted_serial: dict = {}
     for (f, t), n in (salted_terms or {}).items():
@@ -339,8 +291,8 @@ def _build_segment(
         num_shards=num_shards,
         partitions=list(spec),
         field_lengths=field_lengths,
-        n_terms=int(summary["n_terms"].sum()) if len(summary) else 0,
-        n_postings=int(summary["n_postings"].sum()) if len(summary) else 0,
+        n_terms=sum(s["n_terms"] for s in summary),
+        n_postings=sum(s["n_postings"] for s in summary),
         salted_terms=salted_serial,
         metrics={
             "build_secs": round(elapsed, 3),
@@ -375,7 +327,6 @@ def estimate_hot_terms(
     from collections import Counter
 
     from ..functions.analysis import make_analyzer
-    from ..sources.corpus import read_partition
 
     if not parts:
         return {}

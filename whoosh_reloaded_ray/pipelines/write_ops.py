@@ -85,12 +85,19 @@ def remove_field(index_dir: str, name: str) -> Manifest:
     return manifest
 
 
-def append_documents(index_dir: str, source_paths, **build_kwargs) -> Manifest:
-    """Index additional parquet files as new segment(s) appended after the
-    existing docnum space."""
+def append_documents(
+    index_dir: str,
+    source_paths,
+    partition_rows: int | None = None,
+    num_shards: int | None = None,
+    salted_terms: dict | None = None,
+) -> Manifest:
+    """Index additional parquet files as one new segment appended after the
+    existing docnum space, through the build's ``_build_segment``.
+    ``partition_rows`` defaults to 250,000 and ``num_shards`` to the
+    index's shard count."""
     from ..sources.corpus import plan_partitions
     from .build import _build_segment
-    from ..schema import IndexSchema
 
     manifest = load_manifest(index_dir)
     if manifest is None:
@@ -100,7 +107,7 @@ def append_documents(index_dir: str, source_paths, **build_kwargs) -> Manifest:
     )
     if isinstance(source_paths, str):
         source_paths = [source_paths]
-    parts = plan_partitions(source_paths, target_rows=build_kwargs.get("partition_rows", 250_000))
+    parts = plan_partitions(source_paths, target_rows=partition_rows or 250_000)
     # shift the fresh plan's docnum bases past the existing index
     from ..sources.corpus import Partition
 
@@ -111,10 +118,8 @@ def append_documents(index_dir: str, source_paths, **build_kwargs) -> Manifest:
         parts,
         index_dir,
         manifest.schema,
-        num_shards=build_kwargs.get("num_shards", manifest.segments[0].num_shards if manifest.segments else 16),
-        tokenizer_concurrency=build_kwargs.get("tokenizer_concurrency"),
-        writer_concurrency=build_kwargs.get("writer_concurrency"),
-        salted_terms=build_kwargs.get("salted_terms"),
+        num_shards or (manifest.segments[0].num_shards if manifest.segments else 16),
+        salted_terms,
     )
     manifest.segments.append(seg)
     manifest.segments.sort(key=lambda s: s.doc_base)
@@ -151,7 +156,12 @@ def _partition_key_matches(part, unique_fields, incoming) -> np.ndarray:
 
 
 def update_documents(
-    index_dir: str, source_path: str, unique_fields=("conv_id", "turn_idx"), **build_kwargs
+    index_dir: str,
+    source_path: str,
+    unique_fields=("conv_id", "turn_idx"),
+    partition_rows: int | None = None,
+    num_shards: int | None = None,
+    salted_terms: dict | None = None,
 ) -> Manifest:
     """Replace docs whose unique-key tuple matches an incoming row, then
     append the incoming rows (reference update_document semantics:
@@ -188,4 +198,6 @@ def update_documents(
         dels = np.concatenate(parts) if parts else dels
     if dels.size:
         manifest = _write_tombstones(index_dir, manifest, dels.astype(np.uint64))
-    return append_documents(index_dir, source_path, **build_kwargs)
+    return append_documents(
+        index_dir, source_path, partition_rows, num_shards, salted_terms
+    )

@@ -74,7 +74,7 @@ class FieldSpec:
     # whoosh_reloaded_ray/formats.py — the reference's custom Format
     # subclass plug point, formats.py:51-135).  The codec's encode() runs
     # per (doc, term) in the tokenizer stage, its weight() sets the posting
-    # weight, and the payload rides the shuffle in the generic binary
+    # weight, and the payload rides the exchange in the generic binary
     # ``payload`` column; None keeps the native vectorized formats.
     format: Optional[str] = None
 

@@ -4,16 +4,15 @@ Docnum assignment (the reference assigns dense per-segment docnums in
 insertion order, writing.py:748-822; MultiReader offsets them globally,
 reading.py:1013-1017): we read each input file's FOOTER on the driver (row
 counts per row group — cheap metadata, no data I/O), prefix-sum the counts,
-and have each Ray read task attach ``docnum = base + arange(rows)``.  This is
+and have each build map task attach ``docnum = base + arange(rows)``.  This is
 deterministic, shuffle-free, and reproducible on retry — the partition plan
 IS the docnum->(file, row) mapping, so stored fields never need to be copied
 into the index (hit lookup reads the source row range back).
 
 Scale note: at 10^12 turns the plan is one descriptor per row-group
-(~128MB), streamed via ``ray.data.from_items -> map_batches(read)`` so the
-whole pipeline stays lazy with backpressure; footers for ~1M files can be
-fetched in parallel with a small thread pool if driver-side planning ever
-dominates.
+(~128MB), read by one map task each within its segment's bounded exchange;
+footers for ~1M files can be fetched in parallel if driver-side planning
+ever dominates.
 """
 
 from __future__ import annotations
@@ -80,27 +79,6 @@ def read_partition(part: Partition, columns=None) -> pa.Table:
     tbl = f.read_row_groups(list(part.row_groups), columns=columns, use_threads=False)
     docnums = np.arange(part.base, part.base + tbl.num_rows, dtype=np.uint64)
     return tbl.append_column("docnum", pa.array(docnums, type=pa.uint64()))
-
-
-def read_corpus(partitions, columns=None, concurrency=None):
-    """Ray Dataset over the planned partitions with docnums attached.
-
-    One read task per partition descriptor; blocks stream through the
-    executor (no materialization)."""
-    import ray.data
-
-    descs = [p.to_dict() for p in partitions]
-    ds = ray.data.from_items(descs)
-
-    def _read(batch: pa.Table) -> list:
-        out = []
-        for row in batch.to_pylist():
-            out.append(read_partition(Partition.from_dict(row), columns=columns))
-        return pa.concat_tables(out) if len(out) > 1 else out[0]
-
-    return ds.map_batches(_read, batch_format="pyarrow", batch_size=1, **(
-        {"concurrency": concurrency} if concurrency else {}
-    ))
 
 
 def fetch_rows(partitions, docnums, columns=None) -> pa.Table:

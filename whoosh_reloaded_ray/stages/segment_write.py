@@ -1,4 +1,4 @@
-"""Segment shard writer: the reducer behind the groupby(term-shard) shuffle.
+"""Segment shard writer: the reduce side of the build's term-shard exchange.
 
 Mirrors the reference's FieldWriter/W3PostingsWriter role
 (codec/whoosh3.py:675-902 + codec/base.py:169-246): consume a shard's
@@ -42,7 +42,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..functions.varint import binary_array_from_offsets, encode_varints_with_offsets
-from .tokenize import LEN_SENTINEL, unpack_postings
+from .tokenize import LEN_SENTINEL
 
 BLOCK_LIMIT = 128  # postings per block (reference codec constant)
 
@@ -77,13 +77,14 @@ class ShardWriteResult:
 
 
 class ShardSegmentWriter:
-    """map_groups callable: one call = one shard's full posting set."""
+    """Build write task body: one call = one shard's full posting set
+    (POSTING_SCHEMA rows, any order) -> that shard's files + a summary row."""
 
     def __init__(self, seg_dir: str):
         self.seg_dir = seg_dir
         # fault-injection hook (tests only; see _rayutil.consume_fault_flag):
-        # a flag file at the index root crashes exactly one writer actor
-        # mid-build, proving Ray Data's actor restart + task retry yields a
+        # a flag file at the index root crashes exactly one write task's
+        # worker mid-build, proving Ray's task retry yields a
         # byte-identical segment (all writes are atomic tmp+rename)
         self._fault_flag = os.path.join(
             os.path.dirname(seg_dir.rstrip("/")), ".fault_crash_writer"
@@ -93,9 +94,6 @@ class ShardSegmentWriter:
         from .._rayutil import consume_fault_flag
 
         consume_fault_flag(self._fault_flag)
-        # combiner format (tokenize.PACKED_SCHEMA): unpack AFTER the
-        # shuffle so the exchange moved packed runs, not posting rows
-        group = unpack_postings(group)
         if group.num_rows == 0:
             return _summary_table(-1, None, "{}")
         shard = int(group["shard"][0].as_py())

@@ -1,21 +1,21 @@
 """Posting emission: corpus batches -> exploded posting table.
 
 Replaces the reference's row-at-a-time ``add_document`` + PostingPool
-(writing.py:748-822): one ``map_batches`` transform turns a batch of
-documents into an Arrow posting table
+(writing.py:748-822): one call turns a batch of documents (one partition,
+inside a build map task) into an Arrow posting table
 
     (field, term, docnum, weight, positions, len_byte, shard)
 
 with one extra *sentinel* row per (scorable-field, doc) carrying the true
 field length (term = "\\x00" — the analyzer can never produce it, since its
-tokens are non-empty word characters), so doc lengths ride the same shuffle
+tokens are non-empty word characters), so doc lengths ride the same exchange
 instead of forcing a second tokenize pass over the corpus.
 
 Weight semantics (parity-critical): BM25's "tf" is the summed token boost
 per (doc, term) — 1.0 per occurrence without boosts — and positions are
 post-stop-filter, renumbered (reference formats.py:190-236).
 
-``shard = crc32(field:term) % num_shards`` is the shuffle key (stable across
+``shard = crc32(field:term) % num_shards`` is the exchange key (stable across
 processes, unlike Python's ``hash``); sentinel rows shard by docnum so doc
 lengths spread evenly. Hot-term skew: a single term's postings land in one
 shard, but a shard holds ~|vocab|/R terms so the skew is bounded by the
@@ -48,7 +48,7 @@ POSTING_SCHEMA = pa.schema(
         ("docnum", pa.uint64()),
         ("weight", pa.float32()),
         # per-posting varint stream: varint(count) + delta-varints — encoded
-        # ONCE here so the shuffle moves compact bytes and the segment
+        # ONCE here so the exchange moves compact bytes and the segment
         # writer can blockify by pure buffer slicing
         ("positions", pa.binary()),
         # optional char-offset payload (reference Characters format,
@@ -71,217 +71,6 @@ POSTING_SCHEMA = pa.schema(
     ]
 )
 
-# Shuffle combiner format: ONE row per (shard, field, term) per tokenizer
-# batch instead of one row per posting.  The per-posting columns become
-# packed byte blobs (fixed-width dtypes concatenated; variable-width
-# binaries as concatenated values + an int32 lengths blob with -1 marking
-# null), so the all-to-all exchange moves ~2.5x fewer bytes and ~10x fewer
-# rows (a zipfian batch of 8k docs holds ~250k postings but only ~25k
-# distinct terms).  The segment writer unpacks back to POSTING_SCHEMA with
-# pure buffer arithmetic before its blockify path.
-PACKED_SCHEMA = pa.schema(
-    [
-        ("field", pa.string()),
-        ("term", pa.string()),
-        ("shard", pa.int32()),
-        ("n", pa.int32()),
-        ("docnums", pa.binary()),    # n x uint64
-        ("weights", pa.binary()),    # n x float32
-        ("len_bytes", pa.binary()),  # n x uint8
-        ("positions", pa.binary()), ("positions_lens", pa.binary()),
-        ("chars", pa.binary()), ("chars_lens", pa.binary()),
-        ("boosts", pa.binary()), ("boosts_lens", pa.binary()),
-        ("payload", pa.binary()), ("payload_lens", pa.binary()),
-    ]
-)
-
-
-def _runs_binary(starts_bytes: np.ndarray, data_buf, total: int) -> pa.Array:
-    """Binary array whose value i is data[starts_bytes[i]:starts_bytes[i+1]]
-    — zero-copy: the runs tile the buffer in order, so the packed values
-    share the source data buffer and only the offsets are new."""
-    offs = np.empty(starts_bytes.size + 1, dtype=np.int32)
-    offs[:-1] = starts_bytes
-    offs[-1] = total
-    return pa.Array.from_buffers(
-        pa.binary(), starts_bytes.size,
-        [None, pa.py_buffer(offs.tobytes()), data_buf],
-    )
-
-
-def _pack_var_column(col, starts: np.ndarray, ends: np.ndarray) -> tuple:
-    """(values, lens) packed arrays for a per-posting binary column."""
-    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-    n = len(arr)
-    g = starts.size
-    if arr.null_count == n or n == 0:
-        # uniform-null column (chars/boosts/payload on plain TEXT fields):
-        # ship nothing at all — null values + null lens blob
-        return pa.nulls(g, pa.binary()), pa.nulls(g, pa.binary())
-    if arr.offset != 0:  # defensive: normalize a sliced array
-        arr = pa.concat_arrays([arr])
-    voff = np.frombuffer(arr.buffers()[1], dtype=np.int32, count=n + 1)
-    lens = (voff[1:] - voff[:-1]).astype(np.int32)
-    if arr.null_count:
-        isnull = pc.is_null(arr).to_numpy(zero_copy_only=False)
-        lens[isnull] = -1
-    data_buf = arr.buffers()[2] or pa.py_buffer(b"")
-    vals = _runs_binary(voff[starts].astype(np.int64), data_buf, int(voff[-1]))
-    lens_vals = _runs_binary(
-        starts.astype(np.int64) * 4, pa.py_buffer(lens.tobytes()), n * 4
-    )
-    return vals, lens_vals
-
-
-def _pack_fixed(npvals: np.ndarray, starts: np.ndarray) -> pa.Array:
-    itemsize = npvals.dtype.itemsize
-    return _runs_binary(
-        starts.astype(np.int64) * itemsize,
-        pa.py_buffer(np.ascontiguousarray(npvals).tobytes()),
-        npvals.size * itemsize,
-    )
-
-
-def pack_postings(tbl: pa.Table) -> pa.Table:
-    """POSTING_SCHEMA -> PACKED_SCHEMA (see PACKED_SCHEMA docstring)."""
-    n = tbl.num_rows
-    if n == 0:
-        return PACKED_SCHEMA.empty_table()
-    order = pc.sort_indices(
-        tbl,
-        sort_keys=[
-            ("shard", "ascending"), ("field", "ascending"),
-            ("term", "ascending"), ("docnum", "ascending"),
-        ],
-    )
-    tbl = tbl.take(order).combine_chunks()
-    fcodes = pc.dictionary_encode(tbl["field"].chunk(0)).indices.to_numpy()
-    tcodes = pc.dictionary_encode(tbl["term"].chunk(0)).indices.to_numpy()
-    shards = tbl["shard"].to_numpy()
-    change = np.empty(n, dtype=bool)
-    change[0] = True
-    np.not_equal(tcodes[1:], tcodes[:-1], out=change[1:])
-    change[1:] |= fcodes[1:] != fcodes[:-1]
-    change[1:] |= shards[1:] != shards[:-1]
-    starts = np.flatnonzero(change)
-    ends = np.append(starts[1:], n)
-    take_starts = pa.array(starts)
-
-    cols = {
-        "field": tbl["field"].take(take_starts),
-        "term": tbl["term"].take(take_starts),
-        "shard": tbl["shard"].take(take_starts),
-        "n": pa.array((ends - starts).astype(np.int32), pa.int32()),
-        "docnums": _pack_fixed(tbl["docnum"].to_numpy(), starts),
-        "weights": _pack_fixed(tbl["weight"].to_numpy(), starts),
-        "len_bytes": _pack_fixed(tbl["len_byte"].to_numpy(), starts),
-    }
-    for name in ("positions", "chars", "boosts", "payload"):
-        vals, lens = _pack_var_column(tbl[name], starts, ends)
-        cols[name] = vals
-        cols[f"{name}_lens"] = lens
-    return pa.Table.from_arrays(
-        [cols[f.name] for f in PACKED_SCHEMA], schema=PACKED_SCHEMA
-    )
-
-
-def _concat_bin(col) -> memoryview:
-    """The concatenated bytes of a (null-free) binary column, zero-copy."""
-    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-    if len(arr) == 0:
-        return memoryview(b"")
-    if arr.offset != 0:
-        arr = pa.concat_arrays([arr])
-    voff = np.frombuffer(arr.buffers()[1], dtype=np.int32, count=len(arr) + 1)
-    data = arr.buffers()[2]
-    if data is None:
-        return memoryview(b"")
-    return memoryview(data)[int(voff[0]): int(voff[-1])]
-
-
-def _unpack_var(values_col, lens_col, total: int, nper: np.ndarray) -> pa.Array:
-    lcol = (
-        lens_col.combine_chunks()
-        if isinstance(lens_col, pa.ChunkedArray)
-        else lens_col
-    )
-    if lcol.null_count == len(lcol):
-        return pa.nulls(total, pa.binary())  # uniformly-null packed column
-    if lcol.null_count:
-        # mix of null-run rows and packed rows: expand null runs to -1 lens
-        isnull = pc.is_null(lcol).to_numpy(zero_copy_only=False)
-        packed_lens = np.frombuffer(_concat_bin(pc.drop_null(lcol)), dtype=np.int32)
-        lens = np.empty(total, dtype=np.int32)
-        row_null = np.repeat(isnull, nper)
-        lens[row_null] = -1
-        lens[~row_null] = packed_lens
-        vals_nonnull = pc.drop_null(
-            values_col.combine_chunks()
-            if isinstance(values_col, pa.ChunkedArray)
-            else values_col
-        )
-        data = _concat_bin(vals_nonnull)
-        valid = lens >= 0
-        sizes = np.where(valid, lens, 0).astype(np.int64)
-        offs = np.empty(total + 1, dtype=np.int32)
-        offs[0] = 0
-        offs[1:] = np.cumsum(sizes).astype(np.int32)
-        validity = pa.py_buffer(np.packbits(valid, bitorder="little").tobytes())
-        return pa.Array.from_buffers(
-            pa.binary(), total,
-            [validity, pa.py_buffer(offs.tobytes()), pa.py_buffer(data)],
-            null_count=int(total - valid.sum()),
-        )
-    lens = np.frombuffer(_concat_bin(lens_col), dtype=np.int32)
-    data = _concat_bin(values_col)
-    valid = lens >= 0
-    sizes = np.where(valid, lens, 0).astype(np.int64)
-    offs = np.empty(total + 1, dtype=np.int32)
-    offs[0] = 0
-    offs[1:] = np.cumsum(sizes).astype(np.int32)
-    nulls = int(total - valid.sum())
-    validity = None
-    if nulls:
-        validity = pa.py_buffer(np.packbits(valid, bitorder="little").tobytes())
-    return pa.Array.from_buffers(
-        pa.binary(), total,
-        [validity, pa.py_buffer(offs.tobytes()), pa.py_buffer(data)],
-        null_count=nulls,
-    )
-
-
-def unpack_postings(packed: pa.Table) -> pa.Table:
-    """PACKED_SCHEMA -> POSTING_SCHEMA (exact inverse of pack_postings up
-    to row order, which the segment writer re-sorts anyway)."""
-    if packed.num_rows == 0:
-        return POSTING_SCHEMA.empty_table()
-    packed = packed.combine_chunks()
-    nper = packed["n"].to_numpy()
-    total = int(nper.sum())
-    idx = pa.array(np.repeat(np.arange(packed.num_rows, dtype=np.int64), nper))
-    cols = {
-        "field": packed["field"].take(idx),
-        "term": packed["term"].take(idx),
-        "docnum": pa.array(
-            np.frombuffer(_concat_bin(packed["docnums"]), dtype=np.uint64),
-            pa.uint64(),
-        ),
-        "weight": pa.array(
-            np.frombuffer(_concat_bin(packed["weights"]), dtype=np.float32),
-            pa.float32(),
-        ),
-        "len_byte": pa.array(
-            np.frombuffer(_concat_bin(packed["len_bytes"]), dtype=np.uint8),
-            pa.uint8(),
-        ),
-        "shard": packed["shard"].take(idx),
-    }
-    for name in ("positions", "chars", "boosts", "payload"):
-        cols[name] = _unpack_var(packed[name], packed[f"{name}_lens"], total, nper)
-    return pa.Table.from_arrays(
-        [cols[f.name] for f in POSTING_SCHEMA], schema=POSTING_SCHEMA
-    )
-
 
 def _shard_of(field: str, term: str, num_shards: int) -> int:
     return zlib.crc32(f"{field}:{term}".encode("utf-8")) % num_shards
@@ -292,11 +81,9 @@ def _salted_shard_of(field: str, term: str, salt: int, num_shards: int) -> int:
 
 
 class Tokenizer:
-    """Callable for ``map_batches``: compiles analyzers once per worker.
-
-    Used as a plain function-factory product (stateless task) for cheap
-    analyzers; pass the CLASS to map_batches with ``concurrency=`` to get an
-    actor pool when analyzers hold heavy state (stemmer LRU cache)."""
+    """Callable: a batch of documents (with ``docnum``) -> POSTING_SCHEMA
+    postings.  Analyzers compile once per instance; a build ships one
+    instance to its map tasks through the object store."""
 
     def __init__(
         self,
@@ -691,8 +478,7 @@ class Tokenizer:
                 cols.append(pa.chunked_array(chunks).combine_chunks())
             else:
                 cols.append(pa.array([], type=POSTING_SCHEMA.field(name).type))
-        tbl = pa.Table.from_arrays(cols, schema=POSTING_SCHEMA)
-        return pack_postings(tbl)
+        return pa.Table.from_arrays(cols, schema=POSTING_SCHEMA)
 
     def _chars_field(self, fname, spec_tuple, batch, docnums, out):
         """Loop path for chars-enabled fields (reference Characters format,
