@@ -16,6 +16,9 @@ WHOOSH_SRC = "/root/reference/src"
 
 @pytest.fixture(scope="session")
 def whoosh():
+    # parity tests need the reference checkout; they run wherever it is
+    if not os.path.isdir(os.path.join(WHOOSH_SRC, "whoosh")):
+        pytest.skip(f"reference whoosh checkout not found at {WHOOSH_SRC}")
     # whoosh-reloaded imports the py2-era `cached_property` package; shim it
     # with the stdlib implementation.
     import functools

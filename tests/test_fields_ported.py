@@ -257,6 +257,42 @@ def test_nontext_update(ray_session, tmp_path_factory):
     assert {"a", "b", "c", "d", "e", "f"} <= ids
 
 
+def test_stored_field_added_after_first_commit(ray_session, tmp_path_factory):
+    # a STORED field added to the schema later: older commits' source
+    # files lack its column, and hits from both commits read back together
+    d = str(tmp_path_factory.mktemp("addstored"))
+    ix = wrr.create_in(d, wrr.Schema(t=fields.TEXT(stored=True)))
+    w = ix.writer()
+    w.add_document(t="alpha one")
+    w.commit()
+    ix.add_field("n", fields.STORED)
+    w = ix.writer()
+    w.add_document(t="alpha two", n=5)
+    w.commit()
+    with ix.searcher() as s:
+        hits = s.search(query.Term("t", "alpha"))
+        got = sorted((h["t"], h.get("n")) for h in hits)
+    assert got == [("alpha one", None), ("alpha two", 5)]
+
+
+def test_stored_override_first_in_later_commit(ray_session, tmp_path_factory):
+    # reference add_document ``_stored_<f>`` (writing.py:404): the display
+    # override shows even when the first commit wrote no override column
+    d = str(tmp_path_factory.mktemp("lateoverride"))
+    ix = wrr.create_in(d, wrr.Schema(t=fields.TEXT(stored=True)))
+    w = ix.writer()
+    w.add_document(t="alpha one")
+    w.commit()
+    w = ix.writer()
+    w.add_document(t="alpha two", _stored_t="shown")
+    w.commit()
+    with ix.searcher() as s:
+        assert sorted(h["t"] for h in s.search(query.Term("t", "alpha"))) == [
+            "alpha one", "shown",
+        ]
+        assert s.reader().stored_fields(1) == {"t": "shown"}
+
+
 def test_datetime(ray_session, tmp_path_factory):
     # ref :383 (range bounds are datetime64[us], the reference's
     # datetime_to_long microsecond values)

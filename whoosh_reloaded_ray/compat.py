@@ -1953,8 +1953,9 @@ class Writer:
                 elif f.kind == "stored":
                     # STORED keeps the native value type (reference stored
                     # fields round-trip Python values); mixed-type buffers
-                    # degrade to strings.  Keep types consistent across
-                    # commits of the same index.
+                    # degrade to strings.  A column whose type differs
+                    # between commits reads back as strings the same way
+                    # (sources.corpus.source_schema).
                     try:
                         arr = pa.array(vals)
                         if pa.types.is_null(arr.type):
@@ -2594,6 +2595,42 @@ class Results:
         extra = [h for h in results.hits if h.docnum not in docs]
         self.hits = arein + notin + extra
         self.total = len(docs | other)
+
+
+def _stored_fields_many(s: IndexSearcher, docnums: list) -> list:
+    """Stored fields of ``docnums`` (in that order; unknown docnums are
+    dropped), read from the source parquet the commits wrote."""
+    from .sources.corpus import fetch_rows, source_schema
+
+    schema = s.manifest.schema
+    stored = [f.name for f in schema.fields if f.stored]
+    parts = s.manifest.partitions
+    # _stored_<field> columns override the indexed value for display
+    # (reference add_document ``_stored_<fieldname>``, writing.py:404); the
+    # first one may come in any commit, so look in every commit's file
+    src_cols = set(source_schema(parts).names) if parts else set()
+    overrides = [f"_stored_{n}" for n in stored if f"_stored_{n}" in src_cols]
+    rows = fetch_rows(parts, docnums, columns=stored + overrides)
+    if rows is None:
+        return []
+    decimal_fields = {
+        f.name: f.decimal_places
+        for f in schema.fields
+        if f.kind == "numeric" and getattr(f, "decimal_places", 0)
+    }
+    by_doc = {}
+    for r in rows.to_pylist():
+        d = {k: v for k, v in r.items() if k != "docnum" and not k.startswith("_stored_")}
+        for ov in overrides:
+            if r.get(ov) is not None:
+                d[ov[len("_stored_"):]] = r[ov]
+        for name, places in decimal_fields.items():
+            if d.get(name) is not None:
+                from .schema import sortable_to_decimal
+
+                d[name] = sortable_to_decimal(d[name], places)
+        by_doc[r["docnum"]] = d
+    return [by_doc[d] for d in docnums if d in by_doc]
 
 
 class CompatSearcher:
@@ -3291,35 +3328,7 @@ class CompatSearcher:
         return rows[0]
 
     def stored_fields_many(self, docnums: list) -> list:
-        stored = [f.name for f in self._schema.fields if f.stored]
-        from .sources.corpus import fetch_rows
-
-        # _stored_<field> columns override the indexed value for display
-        # (reference add_document ``_stored_<fieldname>``, writing.py:404)
-        src_cols = set()
-        parts = self._s.manifest.partitions
-        if parts:
-            src_cols = set(pq.ParquetFile(parts[0].path).schema_arrow.names)
-        overrides = [f"_stored_{n}" for n in stored if f"_stored_{n}" in src_cols]
-        rows = fetch_rows(parts, docnums, columns=stored + overrides)
-        decimal_fields = {
-            f.name: f.decimal_places
-            for f in self._schema.fields
-            if f.kind == "numeric" and getattr(f, "decimal_places", 0)
-        }
-        by_doc = {}
-        for r in rows.to_pylist():
-            d = {k: v for k, v in r.items() if k != "docnum" and not k.startswith("_stored_")}
-            for ov in overrides:
-                if r.get(ov) is not None:
-                    d[ov[len("_stored_"):]] = r[ov]
-            for name, places in decimal_fields.items():
-                if d.get(name) is not None:
-                    from .schema import sortable_to_decimal
-
-                    d[name] = sortable_to_decimal(d[name], places)
-            by_doc[r["docnum"]] = d
-        return [by_doc[d] for d in docnums if d in by_doc]
+        return _stored_fields_many(self._s, docnums)
 
     def all_stored_fields(self):
         """Stored fields of every LIVE document in docnum order (reference
@@ -3666,27 +3675,10 @@ class Reader:
     def stored_fields(self, docnum: int) -> dict:
         """Stored fields from the source parquet (incl. ``_stored_<f>``
         display overrides) — same path as the searcher veneer."""
-        from .sources.corpus import fetch_rows
-
-        schema = self._s.manifest.schema
-        stored = [f.name for f in schema.fields if f.stored]
-        parts = self._s.manifest.partitions
-        src_cols = set()
-        if parts:
-            src_cols = set(pq.ParquetFile(parts[0].path).schema_arrow.names)
-        overrides = [f"_stored_{n}" for n in stored if f"_stored_{n}" in src_cols]
-        rows = fetch_rows(parts, [docnum], columns=stored + overrides).to_pylist()
+        rows = _stored_fields_many(self._s, [docnum])
         if not rows:
             raise KeyError(docnum)
-        r = rows[0]
-        d = {
-            k: v for k, v in r.items()
-            if k != "docnum" and not k.startswith("_stored_")
-        }
-        for ov in overrides:
-            if r.get(ov) is not None:
-                d[ov[len("_stored_"):]] = r[ov]
-        return d
+        return rows[0]
 
     def all_doc_ids(self):
         excluded = set(self._tombstones().tolist())

@@ -35,7 +35,7 @@ def _eval_segment_rows(
     excluded,
 ) -> pa.Table:
     """Task body: evaluate q on one segment, fetch matched source rows."""
-    from ..sources.corpus import fetch_rows
+    from ..sources.corpus import fetch_rows, source_schema
     from ..state.manifest import SegmentMeta
 
     seg = SegmentMeta.from_dict(seg_dict)
@@ -47,11 +47,8 @@ def _eval_segment_rows(
     if docs.size == 0:
         # empty result with the SAME schema as matched segments (source
         # columns + docnum + score) so cross-task block union stays clean
-        import pyarrow.parquet as pq
-
-        src = pq.ParquetFile(seg.partitions[0].path).schema_arrow
-        fields = [f for f in src if columns is None or f.name in columns]
-        fields += [pa.field("docnum", pa.uint64()), pa.field("score", pa.float64())]
+        src = source_schema(seg.partitions, columns)
+        fields = [*src, pa.field("docnum", pa.uint64()), pa.field("score", pa.float64())]
         return pa.schema(fields).empty_table()
     rows = fetch_rows(seg.partitions, docs.tolist(), columns=columns)
     rows = rows.sort_by("docnum")

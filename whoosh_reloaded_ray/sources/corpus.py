@@ -17,6 +17,7 @@ ever dominates.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import asdict, dataclass
 
@@ -81,31 +82,94 @@ def read_partition(part: Partition, columns=None) -> pa.Table:
     return tbl.append_column("docnum", pa.array(docnums, type=pa.uint64()))
 
 
+@functools.lru_cache(maxsize=4096)
+def _file_schema(path: str, mtime_ns: int, size: int) -> pa.Schema:
+    return pq.ParquetFile(path).schema_arrow
+
+
+def _schema_of(path: str) -> pa.Schema:
+    # footer read once per file version: a file rewritten at the same path
+    # has a new (mtime, size) key
+    st = os.stat(path)
+    return _file_schema(path, st.st_mtime_ns, st.st_size)
+
+
+def source_schema(partitions, columns=None) -> pa.Schema:
+    """The schema that reads every partition back into one table.
+
+    Each commit writes its own source file, and commits may disagree on a
+    column: absent from older files (a field or a ``_stored_<f>`` override
+    first written later), a narrower number type, or a STORED column that
+    held ints in one commit and strings in another.  A column's type is the
+    permissive promotion of its type in every distinct file (null fills,
+    int64 -> double); where that fails it reads back as strings, the rule a
+    mixed-type STORED buffer gets within one commit (compat writer
+    ``commit``).  ``columns`` selects and orders the result; a column no
+    file has is null-typed.
+    """
+    schemas = [_schema_of(path) for path in dict.fromkeys(p.path for p in partitions)]
+    try:
+        schema = pa.unify_schemas(schemas, promote_options="permissive")
+    except (pa.ArrowInvalid, pa.ArrowTypeError):
+        fields = {}
+        for f in (f for s in schemas for f in s):
+            prev = fields.setdefault(f.name, f)
+            try:
+                fields[f.name] = pa.unify_schemas(
+                    [pa.schema([prev]), pa.schema([f])], promote_options="permissive"
+                ).field(0)
+            except (pa.ArrowInvalid, pa.ArrowTypeError):
+                fields[f.name] = pa.field(f.name, pa.string())
+        schema = pa.schema(list(fields.values()))
+    if columns is None:
+        return schema
+    return pa.schema(
+        [schema.field(c) if c in schema.names else pa.field(c, pa.null()) for c in columns]
+    )
+
+
+def _conform(tbl: pa.Table, schema: pa.Schema) -> pa.Table:
+    """One partition's rows cast to ``schema`` (plus ``docnum``)."""
+    cols = []
+    for f in schema:
+        if f.name not in tbl.column_names:
+            cols.append(pa.nulls(tbl.num_rows, f.type))
+            continue
+        col = tbl.column(f.name)
+        if col.type != f.type:
+            if pa.types.is_string(f.type) and not pa.types.is_null(col.type):
+                # commits disagree on this column's type: str() per value
+                col = pa.array(
+                    [None if v is None else str(v) for v in col.to_pylist()], pa.string()
+                )
+            else:
+                col = col.cast(f.type)
+        cols.append(col)
+    cols.append(tbl.column("docnum"))
+    return pa.table(cols, names=[*schema.names, "docnum"])
+
+
 def fetch_rows(partitions, docnums, columns=None) -> pa.Table:
     """Driver-side point lookup: fetch source rows for a small set of
     docnums via the partition plan (used for hit stored-field display —
-    the index itself stores no document content)."""
+    the index itself stores no document content).  Rows from commits that
+    disagree on a column are read back as one table (``source_schema``)."""
     docnums = np.asarray(sorted(int(d) for d in docnums), dtype=np.int64)
+    if docnums.size == 0:
+        return None
     bases = np.array([p.base for p in partitions], dtype=np.int64)
-    out = []
     idx = np.searchsorted(bases, docnums, side="right") - 1
+    # typed from every commit's file, not just the fetched ones, so a
+    # document reads back the same whatever it is fetched with
+    schema = source_schema(partitions, columns)
+    out = []
     for pi in np.unique(idx):
         part = partitions[int(pi)]
         local = docnums[idx == pi] - part.base
-        cols_p = columns
-        if columns is not None:
-            # generations may differ in optional columns (_stored_/_boost
-            # overrides added later); fill requested-but-absent with nulls
-            avail = set(pq.ParquetFile(part.path).schema_arrow.names)
-            cols_p = [c for c in columns if c in avail]
-        tbl = read_partition(part, columns=cols_p)
-        if columns is not None:
-            for c in columns:
-                if c not in tbl.column_names:
-                    tbl = tbl.append_column(c, pa.nulls(tbl.num_rows, pa.string()))
-            tbl = tbl.select([*columns, "docnum"])
-        out.append(tbl.take(pa.array(local)))
-    return pa.concat_tables(out) if out else None
+        avail = set(_schema_of(part.path).names)
+        tbl = read_partition(part, columns=[c for c in schema.names if c in avail])
+        out.append(_conform(tbl.take(pa.array(local)), schema))
+    return pa.concat_tables(out)
 
 
 # ---------------------------------------------------------------------------
