@@ -293,6 +293,24 @@ def test_stored_override_first_in_later_commit(ray_session, tmp_path_factory):
         assert s.reader().stored_fields(1) == {"t": "shown"}
 
 
+def test_matches_dataset_types_columns_across_commits(ray_session, tmp_path_factory):
+    # commits that disagree on a STORED column's type: every exported
+    # block reads it back as stored_fields does (strings), not as the
+    # type of its own segment's source file
+    from whoosh_reloaded_ray.pipelines.export import matches_dataset
+
+    d = str(tmp_path_factory.mktemp("exporttypes"))
+    ix = wrr.create_in(d, wrr.Schema(t=fields.TEXT, id=fields.STORED))
+    for value in (1, "x"):
+        w = ix.writer()
+        w.add_document(t="alpha", id=value)
+        w.commit()
+    rows = matches_dataset(d, query.Term("t", "alpha"), columns=["id"]).take_all()
+    assert sorted((r["docnum"], r["id"]) for r in rows) == [(0, "1"), (1, "x")]
+    with ix.searcher() as s:
+        assert [s.stored_fields(n)["id"] for n in (0, 1)] == ["1", "x"]
+
+
 def test_datetime(ray_session, tmp_path_factory):
     # ref :383 (range bounds are datetime64[us], the reference's
     # datetime_to_long microsecond values)

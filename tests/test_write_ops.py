@@ -275,3 +275,23 @@ def test_update_no_driver_key_scan(idx, corpus, ray_session, tmp_path, monkeypat
     upd2_path = str(tmp_path / "upd_noscan2.parquet")
     pq.write_table(upd2, upd2_path)
     write_ops.update_documents(idx, upd2_path, unique_fields=("conv_id",))
+
+
+def test_stale_searcher_raises_once_its_segments_are_collected(corpus, idx, ray_session, tmp_path):
+    # ``clean_files`` keeps two manifest generations: after three append +
+    # optimize cycles, the segment directories an old searcher was opened
+    # on are deleted.  A term it has not read yet must raise, naming the
+    # segment, instead of answering 0 hits
+    from whoosh_reloaded_ray.pipelines.merge import maybe_merge
+
+    old = IndexSearcher(idx)
+    for i in range(3):
+        extra = str(tmp_path / f"more-{i}.parquet")
+        generate_transcripts(extra, n_turns=60, avg_turn_words=20, seed=70 + i, rows_per_file=60)
+        write_ops.append_documents(idx, extra)
+        maybe_merge(idx, optimize=True)
+    fresh = IndexSearcher(idx)
+    for term in _terms(corpus):
+        assert fresh.search(Term("text", term), limit=None).num_rows > 0
+        with pytest.raises(FileNotFoundError, match=r"segment seg-\d+"):
+            old.search(Term("text", term), limit=None)

@@ -30,12 +30,13 @@ def _eval_segment_rows(
     seg_dict: dict,
     q: ast.Query,
     ctx: ScoreContext,
-    columns,
+    schema: pa.Schema,
     scored: bool,
     excluded,
 ) -> pa.Table:
-    """Task body: evaluate q on one segment, fetch matched source rows."""
-    from ..sources.corpus import fetch_rows, source_schema
+    """Task body: evaluate q on one segment, fetch matched source rows,
+    typed by ``schema`` (the whole index's, so every block agrees)."""
+    from ..sources.corpus import fetch_rows
     from ..state.manifest import SegmentMeta
 
     seg = SegmentMeta.from_dict(seg_dict)
@@ -47,10 +48,9 @@ def _eval_segment_rows(
     if docs.size == 0:
         # empty result with the SAME schema as matched segments (source
         # columns + docnum + score) so cross-task block union stays clean
-        src = source_schema(seg.partitions, columns)
-        fields = [*src, pa.field("docnum", pa.uint64()), pa.field("score", pa.float64())]
+        fields = [*schema, pa.field("docnum", pa.uint64()), pa.field("score", pa.float64())]
         return pa.schema(fields).empty_table()
-    rows = fetch_rows(seg.partitions, docs.tolist(), columns=columns)
+    rows = fetch_rows(seg.partitions, docs.tolist(), schema=schema)
     rows = rows.sort_by("docnum")
     return rows.append_column("score", pa.array(scores, pa.float64()))
 
@@ -65,17 +65,22 @@ def matches_dataset(
     docnum + score), one evaluation task per segment."""
     import ray.data
 
+    from ..sources.corpus import source_schema
+
     s = IndexSearcher(index_dir)  # driver-side stats + rewrite only
     rq = s._rewrite(q)
     ctx = s._context(rq)
     excluded = s.local.excluded if s.local.excluded.size else None
+    # one schema over every commit's source file: a segment's own files
+    # may type a column differently from another segment's
+    schema = source_schema(s.manifest.partitions, columns)
     segs = [seg.to_dict() for seg in s.manifest.segments]
     ds = ray.data.from_items([{"i": i} for i in range(len(segs))])
 
     def _run(batch: pa.Table) -> pa.Table:
         out = [
             _eval_segment_rows(
-                index_dir, segs[int(i)], rq, ctx, columns, scored, excluded
+                index_dir, segs[int(i)], rq, ctx, schema, scored, excluded
             )
             for i in batch["i"].to_pylist()
         ]

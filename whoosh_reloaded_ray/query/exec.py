@@ -18,7 +18,6 @@ vectorized per segment.
 from __future__ import annotations
 
 import math
-import os
 from collections import OrderedDict
 import re
 from functools import lru_cache
@@ -26,7 +25,6 @@ from functools import lru_cache
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 
 from ..functions.quant import BYTE_TO_LENGTH
 from ..functions.varint import decode_varints
@@ -303,28 +301,64 @@ def _decode_posting_columns(t: pa.Table):
     return docs, weights, lens, block_starts, counts
 
 
+class _LRU:
+    """LRU cache bounded by the summed size of its entries (bytes, or 1 per
+    entry for a cap on the entry count)."""
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        self.used = 0
+        self._d: "OrderedDict" = OrderedDict()
+
+    def get(self, key):
+        hit = self._d.get(key)
+        if hit is None:
+            return None
+        self._d.move_to_end(key)
+        return hit[0]
+
+    def put(self, key, value, nbytes: int) -> None:
+        if nbytes > self.cap:
+            return
+        self._d[key] = (value, nbytes)
+        self.used += nbytes
+        while self.used > self.cap:
+            self.used -= self._d.popitem(last=False)[1][1]
+
+
 class SegmentReader:
-    """Reads one segment's terminfo/postings/doclens (cached)."""
+    """Reads one segment's terminfo/postings/doclens (cached).
+
+    Each (shard file, row group) is read once, on first touch, and every
+    later lookup is a binary search of its sorted ``(field, term)`` key
+    columns that returns a zero-copy slice (``_rows``), as whoosh keeps a
+    segment's files mapped and decodes term extents lazily.  A one-row-group
+    shard file (the usual size) is read whole; a larger one reads only the
+    row groups whose footer statistics may hold the term.  Nothing is read
+    at open."""
 
     def __init__(self, index_dir: str, seg: SegmentMeta):
         self.seg = seg
         self.dir = storage.join(index_dir, seg.name)
         # bounded LRU: long-lived searcher actors see an open-ended query
         # term stream at scale; decoded posting lists must not accumulate
-        self._postings_cache: "OrderedDict" = OrderedDict()
-        self._postings_cache_cap = 4096
-        self._raw_cache: dict = {}
+        self._postings = _LRU(4096)
         self._terminfo_cache: dict = {}
         self._column_cache: dict = {}
         self._vocab_cache: dict = {}
+        # (field, term) -> block_meta arrays, re-read by every WAND call
+        self._block_meta = _LRU(16 << 20)
+        # path -> (footer, per-row-group key bounds), None for a shard
+        # file the segment does not have
+        self._footers: dict = {}
+        # (path, row group) -> (table, field row spans, term keys)
+        self._row_groups = _LRU(64 << 20)
         self._all_docnums: "np.ndarray | None" = None
         # constant-score docsets (range / expanded-multiterm unions) are
         # recomputed per query otherwise; the reference Searcher keeps the
         # analogous filter cache (searching.py _filter_cache).  Bounded by
         # BYTES, not entries — one 10M-doc segment's full docset is 80 MB
-        self._docset_cache: "OrderedDict" = OrderedDict()
-        self._docset_bytes = 0
-        self._docset_cap = 128 << 20
+        self._docsets = _LRU(128 << 20)
         # partition docnum ranges (sorted); a MERGED segment's ranges may be
         # non-contiguous, so docnum <-> dense-index mapping goes through them
         parts = sorted(seg.partitions, key=lambda p: p.base)
@@ -346,17 +380,10 @@ class SegmentReader:
 
     def docset_cached(self, key, build) -> np.ndarray:
         """LRU for constant-score docsets keyed by the query shape."""
-        hit = self._docset_cache.get(key)
-        if hit is not None:
-            self._docset_cache.move_to_end(key)
-            return hit
-        docs = build()
-        if docs.nbytes <= self._docset_cap:
-            self._docset_cache[key] = docs
-            self._docset_bytes += docs.nbytes
-            while self._docset_bytes > self._docset_cap and self._docset_cache:
-                _, old = self._docset_cache.popitem(last=False)
-                self._docset_bytes -= old.nbytes
+        docs = self._docsets.get(key)
+        if docs is None:
+            docs = build()
+            self._docsets.put(key, docs, docs.nbytes)
         return docs
 
     def dense_index(self, docnums: np.ndarray) -> np.ndarray:
@@ -381,36 +408,114 @@ class SegmentReader:
         )
         return sorted(shards)
 
+    # ---- shard files: each (file, row group) read once --------------------
+
+    def _footer(self, path: str):
+        """(footer, per-row-group ``[field min, field max, term min, term
+        max]``) of one shard file, or None for a shard file the segment
+        does not have (an empty shard).  A segment whose directory is gone
+        (its generation garbage-collected under an open searcher) raises
+        instead of reading as empty."""
+        if path in self._footers:
+            return self._footers[path]
+        try:
+            with storage.parquet_file(path) as pf:
+                md = pf.metadata
+        except FileNotFoundError:
+            if storage.exists(self.dir):
+                self._footers[path] = None
+                return None
+            raise FileNotFoundError(
+                f"segment {self.seg.name} is gone from {self.dir}: its files "
+                "were garbage-collected after a newer commit; reopen the searcher"
+            ) from None
+        names = md.schema.names
+        bounds = []
+        for i in range(md.num_row_groups):
+            rg, b = md.row_group(i), []
+            for col in ("field", "term"):
+                st = rg.column(names.index(col)).statistics if col in names else None
+                b += [st.min, st.max] if st is not None and st.has_min_max else [None, None]
+            bounds.append(b)
+        self._footers[path] = md, bounds
+        return md, bounds
+
+    def _row_group(self, path: str, md, i: int):
+        """(table, {field: (first row, end row)}, term keys) of row group
+        ``i`` of ``path``, read on first touch.  The last two are None for
+        a file that is not sorted by (field, term): doclens, sorted by
+        docnum."""
+        hit = self._row_groups.get((path, i))
+        if hit is None:
+            t = storage.read_parquet(path, row_groups=[i], metadata=md)
+            spans = terms = None
+            nbytes = t.nbytes
+            if "term" in t.column_names:
+                # each field's rows are one run, the runs in field order
+                runs = sorted((r["values"], r["counts"]) for r in pc.value_counts(t["field"]).to_pylist())
+                ends = np.cumsum([n for _, n in runs])
+                spans = {f: (int(e - n), int(e)) for (f, n), e in zip(runs, ends)}
+                terms = t["term"].to_numpy(zero_copy_only=False)
+                # each key is a str object: 49-byte header, its text, a slot
+                nbytes += t["term"].nbytes + 57 * terms.size
+            hit = (t, spans, terms)
+            self._row_groups.put((path, i), hit, nbytes)
+        return hit
+
+    def _rows(
+        self, template: str, shard: int, field: str, start=None, end=None,
+        startexcl=False, endexcl=False,
+    ) -> list:
+        """Rows of ``field`` in one shard file, with start <= term <= end
+        when given (either end exclusive), as zero-copy slices of its
+        cached row groups.  Row groups are chosen from the footer
+        statistics, as a parquet filter on (field, term) chooses them."""
+        path = storage.join(self.dir, template.format(shard=shard))
+        footer = self._footer(path)
+        if footer is None:
+            return []
+        md, bounds = footer
+        out = []
+        for i, (fmin, fmax, tmin, tmax) in enumerate(bounds):
+            if fmin is not None and not fmin <= field <= fmax:
+                continue
+            if tmin is not None and (
+                (start is not None and start > tmax) or (end is not None and end < tmin)
+            ):
+                continue
+            t, spans, terms = self._row_group(path, md, i)
+            if terms is None:
+                out.append(t.filter(pc.equal(t["field"], field)))
+                continue
+            base, stop = spans.get(field, (0, 0))
+            ts = terms[base:stop]
+            lo = 0 if start is None else int(ts.searchsorted(start, "right" if startexcl else "left"))
+            hi = ts.size if end is None else int(ts.searchsorted(end, "left" if endexcl else "right"))
+            if hi > lo:
+                out.append(t.slice(base + lo, hi - lo))
+        return out
+
     # ---- terminfo ---------------------------------------------------------
 
     def terminfo(self, field: str, term: str):
         key = (field, term)
         if key in self._terminfo_cache:
             return self._terminfo_cache[key]
-        parts = []
-        for shard in self._shards_for(field, term):
-            path = storage.join(self.dir, TERMINFO_FILE.format(shard=shard))
-            if storage.exists(path):
-                t = storage.read_parquet(path, filters=[("field", "=", field), ("term", "=", term)])
-                if t.num_rows:
-                    parts.append(t)
+        parts = [
+            t for shard in self._shards_for(field, term)
+            for t in self._rows(TERMINFO_FILE, shard, field, term, term)
+        ]
         info = None
         if parts:
             t = pa.concat_tables(parts)
-            if t.num_rows == 1:
-                info = {c: t[c][0].as_py() for c in t.column_names}
-            else:  # aggregate a salted term's per-sub-shard rows (associative)
-                info = {
-                    "field": field,
-                    "term": term,
-                    "doc_freq": int(pc.sum(t["doc_freq"]).as_py()),
-                    "weight_sum": float(pc.sum(t["weight_sum"]).as_py()),
-                    "max_weight": float(pc.max(t["max_weight"]).as_py()),
-                    "doc_min": int(pc.min(t["doc_min"]).as_py()),
-                    "doc_max": int(pc.max(t["doc_max"]).as_py()),
-                    "min_len_byte": int(pc.min(t["min_len_byte"]).as_py()),
-                    "max_len_byte": int(pc.max(t["max_len_byte"]).as_py()),
-                }
+            info = {c: t[c][0].as_py() for c in t.column_names}
+            if t.num_rows > 1:  # aggregate a salted term's per-sub-shard rows (associative)
+                for c, agg in (
+                    ("doc_freq", pc.sum), ("weight_sum", pc.sum), ("max_weight", pc.max),
+                    ("doc_min", pc.min), ("doc_max", pc.max),
+                    ("min_len_byte", pc.min), ("max_len_byte", pc.max),
+                ):
+                    info[c] = agg(t[c]).as_py()
         self._terminfo_cache[key] = info
         return info
 
@@ -423,131 +528,64 @@ class SegmentReader:
         (optionally under ``prefix``) — a columnar slice of the terminfo
         files (no posting blobs touched), backing the reference's
         most_frequent_terms / most_distinctive_terms (reading.py:545-566)."""
-        filters = [("field", "=", field)]
-        if prefix:
-            filters += [("term", ">=", prefix), ("term", "<", prefix + "￿")]
+        bounds = (prefix, prefix + "\uffff") if prefix else (None, None)
         out: dict = {}
         for shard in range(self.seg.num_shards):
-            path = storage.join(self.dir, TERMINFO_FILE.format(shard=shard))
-            if not storage.exists(path):
-                continue
-            t = storage.read_parquet(
-                path, columns=["term", "weight_sum", "doc_freq"], filters=filters
-            )
-            for term, w, df in zip(
-                t["term"].to_pylist(), t["weight_sum"].to_pylist(), t["doc_freq"].to_pylist()
-            ):
-                if term in out:  # salted terms span shards
-                    ow, odf = out[term]
+            for t in self._rows(TERMINFO_FILE, shard, field, *bounds, endexcl=True):
+                for term, w, df in zip(
+                    t["term"].to_pylist(), t["weight_sum"].to_pylist(), t["doc_freq"].to_pylist()
+                ):
+                    ow, odf = out.get(term, (0.0, 0))  # salted terms span shards
                     out[term] = (ow + float(w), odf + int(df))
-                else:
-                    out[term] = (float(w), int(df))
         return out
 
     def expand_terms(self, field: str, start=None, end=None, startexcl=False, endexcl=False):
-        """Terms of `field` in [start, end] across all shards (sorted).
-        Parquet row-group stats prune the term column scan."""
+        """Terms of `field` in [start, end] across all shards (sorted)."""
         key = (field, start, end, startexcl, endexcl)
-        if key in self._vocab_cache:
-            return self._vocab_cache[key]
-        filters = [("field", "=", field)]
-        if start is not None:
-            filters.append(("term", ">" if startexcl else ">=", start))
-        if end is not None:
-            filters.append(("term", "<" if endexcl else "<=", end))
-        terms = []
-        for shard in range(self.seg.num_shards):
-            path = storage.join(self.dir, TERMINFO_FILE.format(shard=shard))
-            if not storage.exists(path):
-                continue
-            t = storage.read_parquet(path, columns=["term"], filters=filters)
-            terms.extend(t["term"].to_pylist())
-        out = sorted(set(terms))
-        self._vocab_cache[key] = out
-        return out
+        if key not in self._vocab_cache:
+            terms = set()
+            for shard in range(self.seg.num_shards):
+                for t in self._rows(TERMINFO_FILE, shard, field, start, end, startexcl, endexcl):
+                    terms.update(t["term"].to_pylist())
+            self._vocab_cache[key] = sorted(terms)
+        return self._vocab_cache[key]
 
     # ---- postings ---------------------------------------------------------
 
-    def _read_blocks(
-        self, field: str, term: str, need_positions=False, need_chars=False,
-        need_boosts=False, need_payload=False,
-    ):
-        """Raw block rows of a term, doc-ordered across (possibly salted)
-        shards; cached."""
-        rkey = (field, term, need_positions, need_chars, need_boosts, need_payload)
-        if rkey in self._raw_cache:
-            return self._raw_cache[rkey]
-        if not need_positions and not need_chars and not need_boosts and not need_payload and (
-            t := self._raw_cache.get((field, term, True, False, False, False))
-        ) is not None:
-            return t
-        cols = ["doc_min", "doc_max", "max_weight", "min_len_byte",
-                "count", "wflag", "docs", "weights", "lens"]
-        if need_positions:
-            cols += ["positions"]
-        if need_chars:
-            cols += ["chars"]
-        if need_boosts:
-            cols += ["boosts"]
-        if need_payload:
-            cols += ["payload"]
-        parts = []
-        for shard in self._shards_for(field, term):
-            path = storage.join(self.dir, POSTINGS_FILE.format(shard=shard))
-            if storage.exists(path):
-                have = (
-                    storage.parquet_file(path).schema_arrow.names
-                    if (need_boosts or need_payload)
-                    else None
-                )
-                tt = storage.read_parquet(
-                    path,
-                    columns=(
-                        cols if have is None
-                        else [c for c in cols if c in have]
-                    ),
-                    filters=[("field", "=", field), ("term", "=", term)],
-                )
-                if need_boosts and "boosts" not in tt.column_names:
-                    # pre-boosts segment: payload absent -> all-1.0 boosts
-                    tt = tt.append_column(
-                        "boosts", pa.nulls(tt.num_rows, pa.large_binary())
-                    )
-                if need_payload and "payload" not in tt.column_names:
-                    # pre-payload segment: no custom-format payloads
-                    tt = tt.append_column(
-                        "payload", pa.nulls(tt.num_rows, pa.large_binary())
-                    )
-                if tt.num_rows:
-                    parts.append(tt)
-        t = None
-        if parts:
-            t = pa.concat_tables(parts)
-            if len(parts) > 1:
-                # salted term: sub-shards hold disjoint docnum ranges; blocks
-                # are self-contained, so ordering block rows by doc_min
-                # restores the globally doc-sorted posting list
-                t = t.take(pc.sort_indices(t, sort_keys=[("doc_min", "ascending")]))
-        self._raw_cache[rkey] = t
-        return t
+    def _read_blocks(self, field: str, term: str):
+        """Block rows of a term, doc-ordered across (possibly salted)
+        shards and row groups, or None.  A shard whose terminfo lacks the
+        term has no postings for it, so its postings file is not read."""
+        parts = [
+            t for shard in self._shards_for(field, term)
+            if self._rows(TERMINFO_FILE, shard, field, term, term)
+            for t in self._rows(POSTINGS_FILE, shard, field, term, term)
+        ]
+        if len(parts) <= 1:
+            return parts[0] if parts else None
+        # salted sub-shards hold disjoint docnum ranges and blocks are
+        # self-contained, so ordering block rows by doc_min restores the
+        # globally doc-sorted posting list
+        t = pa.concat_tables(parts)
+        return t.take(pc.sort_indices(t, sort_keys=[("doc_min", "ascending")]))
 
     def block_meta(self, field: str, term: str):
         """Per-block bound metadata for block-max WAND: dict of numpy arrays
         (doc_min, doc_max, count, max_weight, min_len_byte) or None.
 
-        Scale note: at 100 TB the bound columns are a tiny columnar slice of
-        the postings parquet — reading them without the blob columns is the
-        distributed analogue of the reference's block headers."""
-        t = self._read_blocks(field, term)
-        if t is None:
-            return None
-        return {
-            "doc_min": t["doc_min"].to_numpy(),
-            "doc_max": t["doc_max"].to_numpy(),
-            "count": t["count"].to_numpy(),
-            "max_weight": t["max_weight"].to_numpy(),
-            "min_len_byte": t["min_len_byte"].to_numpy(),
-        }
+        Scale note: the bound columns are a zero-copy slice of the term's
+        block rows in the cached postings row group, the analogue of the
+        reference's block headers; a postings file larger than one row
+        group is read only in the row groups that may hold the term."""
+        meta = self._block_meta.get((field, term))
+        if meta is None:
+            t = self._read_blocks(field, term)
+            if t is None:
+                return None
+            bounds = ("doc_min", "doc_max", "count", "max_weight", "min_len_byte")
+            meta = {c: t[c].to_numpy() for c in bounds}
+            self._block_meta.put((field, term), meta, sum(a.nbytes for a in meta.values()))
+        return meta
 
     def decode_blocks(self, field: str, term: str, keep: np.ndarray):
         """Postings of the selected blocks -> (docs, weights, len_bytes).
@@ -574,41 +612,23 @@ class SegmentReader:
         need_boosts=False, need_payload=False,
     ):
         key = (field, term, need_positions, need_chars, need_boosts, need_payload)
-        cached = self._postings_cache.get(key)
-        if cached is not None:
-            self._postings_cache.move_to_end(key)
-            return cached
-        if not need_positions and not need_chars and not need_boosts and not need_payload and (
-            plist := self._postings_cache.get((field, term, True, False, False, False))
-        ):
-            self._postings_cache.move_to_end((field, term, True, False, False, False))
+        plist = self._postings.get(key)
+        if plist is None and not (need_positions or need_chars or need_boosts or need_payload):
+            plist = self._postings.get((field, term, True, False, False, False))
+        if plist is not None:
             return plist
-        t = self._read_blocks(
-            field, term, need_positions, need_chars, need_boosts, need_payload
-        )
+        t = self._read_blocks(field, term)
         if t is None:
-            self._postings_cache[key] = None
             return None
-        docs, weights, lens, block_starts, counts = _decode_posting_columns(t)
-        pos_blobs = t["positions"].to_pylist() if need_positions else None
-        chars_blobs = t["chars"].to_pylist() if need_chars and "chars" in t.column_names else None
-        boosts_blobs = (
-            t["boosts"].to_pylist()
-            if need_boosts and "boosts" in t.column_names
-            else None
-        )
-        payload_blobs = (
-            t["payload"].to_pylist()
-            if need_payload and "payload" in t.column_names
-            else None
-        )
+        def blobs(col, need):
+            return t[col].to_pylist() if need and col in t.column_names else None
+
         plist = PostingList(
-            docs, weights, lens, block_starts, counts, pos_blobs, chars_blobs,
-            boosts_blobs, payload_blobs,
+            *_decode_posting_columns(t), blobs("positions", need_positions),
+            blobs("chars", need_chars), blobs("boosts", need_boosts),
+            blobs("payload", need_payload),
         )
-        self._postings_cache[key] = plist
-        if len(self._postings_cache) > self._postings_cache_cap:
-            self._postings_cache.popitem(last=False)
+        self._postings.put(key, plist, 1)
         return plist
 
     def char_spans(self, field: str, term: str, docnum: int) -> np.ndarray:
@@ -673,6 +693,12 @@ class SegmentReader:
             self._column_cache[field] = arr
         return arr
 
+    def _doclens_rows(self, field: str) -> list:
+        return [
+            t for shard in range(self.seg.num_shards)
+            for t in self._rows(DOCLENS_FILE, shard, field)
+        ]
+
     def field_docs(self, field: str) -> np.ndarray:
         """Docnums that contain at least one term in ``field`` (reference
         Every(field) semantics, qcore.py:650-737).  Scorable fields answer
@@ -684,20 +710,12 @@ class SegmentReader:
         cached = self._column_cache.get(key)
         if cached is not None:
             return cached
-        parts = []
-        found_doclens = False
-        for shard in range(self.seg.num_shards):
-            path = storage.join(self.dir, DOCLENS_FILE.format(shard=shard))
-            if not storage.exists(path):
-                continue
-            t = storage.read_parquet(path, columns=["docnum", "field", "length"],
-                              filters=[("field", "=", field)])
-            if t.num_rows:
-                found_doclens = True
-                t = t.filter(pc.greater(t["length"], 0))
-                parts.append(t["docnum"].to_numpy().astype(np.uint64))
-        if found_doclens:
-            docs = np.sort(np.concatenate(parts)) if parts else np.empty(0, np.uint64)
+        parts = [t for t in self._doclens_rows(field) if t.num_rows]
+        if parts:
+            docs = np.sort(np.concatenate([
+                t.filter(pc.greater(t["length"], 0))["docnum"].to_numpy().astype(np.uint64)
+                for t in parts
+            ]))
         else:
             vals = self.column(field)
             if vals.dtype.kind in ("O", "U", "S"):
@@ -716,11 +734,7 @@ class SegmentReader:
         arr = self._column_cache.get(key)
         if arr is None:
             arr = np.zeros(self.seg.doc_count, dtype=np.uint8)
-            for shard in range(self.seg.num_shards):
-                path = storage.join(self.dir, DOCLENS_FILE.format(shard=shard))
-                if not storage.exists(path):
-                    continue
-                t = storage.read_parquet(path, filters=[("field", "=", field)])
+            for t in self._doclens_rows(field):
                 idx = t["docnum"].to_numpy() - self.seg.doc_base
                 arr[idx] = t["len_byte"].to_numpy()
             self._column_cache[key] = arr
@@ -768,12 +782,6 @@ class ScoreContext:
 
 
 EMPTY = (np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.float64))
-
-
-def bm25_scores(plist: PostingList, idf: float, avgfl: float, B: float, K1: float) -> np.ndarray:
-    tf = plist.weights
-    fl = BYTE_TO_LENGTH[plist.len_bytes].astype(np.float64)
-    return idf * (tf * (K1 + 1.0)) / (tf + K1 * ((1.0 - B) + B * fl / avgfl))
 
 
 def score_postings(
@@ -1290,33 +1298,21 @@ def _sorted_isin(cand: np.ndarray, table: np.ndarray) -> np.ndarray:
 def _seq_child_keys(reader, q) -> np.ndarray:
     """Sorted (doc << 32 | pos) keys of every occurrence of the child.
 
-    Static per segment, so cached on the reader (bounded) — repeated
-    sequence searches skip the full position decode."""
+    Static per segment, so cached on the reader with its docsets (bounded)
+    — repeated sequence searches skip the full position decode."""
     field, terms = _seq_child_terms(reader, q)
-    ckey = (field, tuple(terms))
-    cache = getattr(reader, "_seq_keys_cache", None)
-    if cache is None:
-        cache = reader._seq_keys_cache = OrderedDict()
-    hit = cache.get(ckey)
-    if hit is not None:
-        cache.move_to_end(ckey)
-        return hit
-    keys = []
-    for t in terms:
-        pl = reader.postings(field, t, need_positions=True)
-        if pl is None:
-            continue
-        flat, counts = pl.positions_bulk(np.arange(pl.docs.size))
-        keys.append((np.repeat(pl.docs, counts) << np.uint64(32)) + flat)
-    out = (
-        np.unique(np.concatenate(keys))
-        if keys
-        else np.empty(0, dtype=np.uint64)
-    )
-    cache[ckey] = out
-    if len(cache) > 64:
-        cache.popitem(last=False)
-    return out
+
+    def build():
+        keys = []
+        for t in terms:
+            pl = reader.postings(field, t, need_positions=True)
+            if pl is None:
+                continue
+            flat, counts = pl.positions_bulk(np.arange(pl.docs.size))
+            keys.append((np.repeat(pl.docs, counts) << np.uint64(32)) + flat)
+        return np.unique(np.concatenate(keys)) if keys else np.empty(0, dtype=np.uint64)
+
+    return reader.docset_cached(("seq_keys", field, tuple(terms)), build)
 
 
 # ---------------------------------------------------------------------------

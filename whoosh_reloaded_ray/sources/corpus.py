@@ -149,11 +149,12 @@ def _conform(tbl: pa.Table, schema: pa.Schema) -> pa.Table:
     return pa.table(cols, names=[*schema.names, "docnum"])
 
 
-def fetch_rows(partitions, docnums, columns=None) -> pa.Table:
+def fetch_rows(partitions, docnums, columns=None, schema=None) -> pa.Table:
     """Driver-side point lookup: fetch source rows for a small set of
     docnums via the partition plan (used for hit stored-field display —
     the index itself stores no document content).  Rows from commits that
-    disagree on a column are read back as one table (``source_schema``)."""
+    disagree on a column are read back as one table (``source_schema``);
+    pass ``schema`` when ``partitions`` are only part of the index."""
     docnums = np.asarray(sorted(int(d) for d in docnums), dtype=np.int64)
     if docnums.size == 0:
         return None
@@ -161,7 +162,7 @@ def fetch_rows(partitions, docnums, columns=None) -> pa.Table:
     idx = np.searchsorted(bases, docnums, side="right") - 1
     # typed from every commit's file, not just the fetched ones, so a
     # document reads back the same whatever it is fetched with
-    schema = source_schema(partitions, columns)
+    schema = schema or source_schema(partitions, columns)
     out = []
     for pi in np.unique(idx):
         part = partitions[int(pi)]

@@ -132,13 +132,31 @@ def read_json(path: str):
     return json.loads(read_text(path))
 
 
-def read_parquet(path: str, **kw):
+def read_parquet(path: str, columns=None, row_groups=None, metadata=None, **kw):
+    """One parquet file as a table; every index data read goes through here.
+
+    Without ``filters`` the file is read through one ``ParquetFile``: the
+    whole file, or only ``row_groups`` (a list of indices), with an already
+    parsed footer passed as ``metadata``.  That returns the same table as
+    ``pq.read_table`` at about half its cost on a one-row-group shard file.
+    ``filters`` (and any other ``pq.read_table`` keyword) take the dataset
+    path."""
     import pyarrow.parquet as pq
 
+    if kw:
+        if not is_uri(path):
+            return pq.read_table(path, columns=columns, **kw)
+        f, p = resolve(path)
+        return pq.read_table(p, filesystem=f, columns=columns, **kw)
     if not is_uri(path):
-        return pq.read_table(path, **kw)
-    f, p = resolve(path)
-    return pq.read_table(p, filesystem=f, **kw)
+        pf = pq.ParquetFile(path, metadata=metadata)
+    else:
+        f, p = resolve(path)
+        pf = pq.ParquetFile(f.open_input_file(p), metadata=metadata)
+    with pf:
+        if row_groups is None:
+            return pf.read(columns=columns)
+        return pf.read_row_groups(row_groups, columns=columns)
 
 
 def parquet_file(path: str):
