@@ -283,8 +283,15 @@ def test_stale_searcher_raises_once_its_segments_are_collected(corpus, idx, ray_
     # on are deleted.  A term it has not read yet must raise, naming the
     # segment, instead of answering 0 hits
     from whoosh_reloaded_ray.pipelines.merge import maybe_merge
+    from whoosh_reloaded_ray.query.exec import _LRU
 
     old = IndexSearcher(idx)
+    # one that has read every terminfo file, then lost the row groups from
+    # its cache, keeps the footers and reads those files again
+    warm = IndexSearcher(idx)
+    for r in warm.local.readers:
+        assert r.expand_terms("text")
+        r._row_groups = _LRU(0)
     for i in range(3):
         extra = str(tmp_path / f"more-{i}.parquet")
         generate_transcripts(extra, n_turns=60, avg_turn_words=20, seed=70 + i, rows_per_file=60)
@@ -293,5 +300,6 @@ def test_stale_searcher_raises_once_its_segments_are_collected(corpus, idx, ray_
     fresh = IndexSearcher(idx)
     for term in _terms(corpus):
         assert fresh.search(Term("text", term), limit=None).num_rows > 0
-        with pytest.raises(FileNotFoundError, match=r"segment seg-\d+"):
-            old.search(Term("text", term), limit=None)
+        for s in (old, warm):
+            with pytest.raises(FileNotFoundError, match=r"segment seg-\d+"):
+                s.search(Term("text", term), limit=None)

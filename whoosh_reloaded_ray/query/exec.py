@@ -346,8 +346,6 @@ class SegmentReader:
         self._terminfo_cache: dict = {}
         self._column_cache: dict = {}
         self._vocab_cache: dict = {}
-        # (field, term) -> block_meta arrays, re-read by every WAND call
-        self._block_meta = _LRU(16 << 20)
         # path -> (footer, per-row-group key bounds), None for a shard
         # file the segment does not have
         self._footers: dict = {}
@@ -410,6 +408,16 @@ class SegmentReader:
 
     # ---- shard files: each (file, row group) read once --------------------
 
+    def _check_segment_exists(self) -> None:
+        """Raise if this segment's directory is gone: its generation was
+        garbage-collected under an open searcher, which must not read the
+        segment as empty."""
+        if not storage.exists(self.dir):
+            raise FileNotFoundError(
+                f"segment {self.seg.name} is gone from {self.dir}: its files "
+                "were garbage-collected after a newer commit; reopen the searcher"
+            )
+
     def _footer(self, path: str):
         """(footer, per-row-group ``[field min, field max, term min, term
         max]``) of one shard file, or None for a shard file the segment
@@ -422,13 +430,9 @@ class SegmentReader:
             with storage.parquet_file(path) as pf:
                 md = pf.metadata
         except FileNotFoundError:
-            if storage.exists(self.dir):
-                self._footers[path] = None
-                return None
-            raise FileNotFoundError(
-                f"segment {self.seg.name} is gone from {self.dir}: its files "
-                "were garbage-collected after a newer commit; reopen the searcher"
-            ) from None
+            self._check_segment_exists()
+            self._footers[path] = None
+            return None
         names = md.schema.names
         bounds = []
         for i in range(md.num_row_groups):
@@ -447,7 +451,11 @@ class SegmentReader:
         docnum."""
         hit = self._row_groups.get((path, i))
         if hit is None:
-            t = storage.read_parquet(path, row_groups=[i], metadata=md)
+            try:
+                t = storage.read_parquet(path, row_groups=[i], metadata=md)
+            except FileNotFoundError:
+                self._check_segment_exists()
+                raise
             spans = terms = None
             nbytes = t.nbytes
             if "term" in t.column_names:
@@ -577,15 +585,11 @@ class SegmentReader:
         block rows in the cached postings row group, the analogue of the
         reference's block headers; a postings file larger than one row
         group is read only in the row groups that may hold the term."""
-        meta = self._block_meta.get((field, term))
-        if meta is None:
-            t = self._read_blocks(field, term)
-            if t is None:
-                return None
-            bounds = ("doc_min", "doc_max", "count", "max_weight", "min_len_byte")
-            meta = {c: t[c].to_numpy() for c in bounds}
-            self._block_meta.put((field, term), meta, sum(a.nbytes for a in meta.values()))
-        return meta
+        t = self._read_blocks(field, term)
+        if t is None:
+            return None
+        bounds = ("doc_min", "doc_max", "count", "max_weight", "min_len_byte")
+        return {c: t[c].to_numpy() for c in bounds}
 
     def decode_blocks(self, field: str, term: str, keep: np.ndarray):
         """Postings of the selected blocks -> (docs, weights, len_bytes).

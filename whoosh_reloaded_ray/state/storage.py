@@ -132,40 +132,26 @@ def read_json(path: str):
     return json.loads(read_text(path))
 
 
-def read_parquet(path: str, columns=None, row_groups=None, metadata=None, **kw):
+def read_parquet(path: str, row_groups=None, metadata=None):
     """One parquet file as a table; every index data read goes through here.
 
-    Without ``filters`` the file is read through one ``ParquetFile``: the
-    whole file, or only ``row_groups`` (a list of indices), with an already
-    parsed footer passed as ``metadata``.  That returns the same table as
-    ``pq.read_table`` at about half its cost on a one-row-group shard file.
-    ``filters`` (and any other ``pq.read_table`` keyword) take the dataset
-    path."""
-    import pyarrow.parquet as pq
-
-    if kw:
-        if not is_uri(path):
-            return pq.read_table(path, columns=columns, **kw)
-        f, p = resolve(path)
-        return pq.read_table(p, filesystem=f, columns=columns, **kw)
-    if not is_uri(path):
-        pf = pq.ParquetFile(path, metadata=metadata)
-    else:
-        f, p = resolve(path)
-        pf = pq.ParquetFile(f.open_input_file(p), metadata=metadata)
-    with pf:
+    Reads the whole file, or only ``row_groups`` (a list of indices), through
+    one ``ParquetFile``, optionally with an already parsed footer passed as
+    ``metadata``.  On a one-row-group shard file that costs about half of
+    ``pq.read_table`` for the same table."""
+    with parquet_file(path, metadata) as pf:
         if row_groups is None:
-            return pf.read(columns=columns)
-        return pf.read_row_groups(row_groups, columns=columns)
+            return pf.read()
+        return pf.read_row_groups(row_groups)
 
 
-def parquet_file(path: str):
+def parquet_file(path: str, metadata=None):
     import pyarrow.parquet as pq
 
     if not is_uri(path):
-        return pq.ParquetFile(path)
+        return pq.ParquetFile(path, metadata=metadata)
     f, p = resolve(path)
-    return pq.ParquetFile(f.open_input_file(p))
+    return pq.ParquetFile(f.open_input_file(p), metadata=metadata)
 
 
 def write_parquet_atomic(tbl, path: str, row_group_size: int = 8192) -> None:
