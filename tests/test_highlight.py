@@ -309,6 +309,37 @@ def test_payload_highlight_both_executors(ray_session, tmp_path):
     assert "RUNNING" in frag and "THE" not in frag
 
 
+def test_fancy_analyzer_chars_payload_highlights(ray_session, tmp_path):
+    """A chars=True field analyzed by fancy_analyzer stores the Characters
+    payload, so highlight_hit marks the matched word on both executors."""
+    import pyarrow as pa
+    import ray
+
+    from whoosh_reloaded_ray.functions.analysis import fancy_analyzer
+    from whoosh_reloaded_ray.pipelines.build import build_index
+    from whoosh_reloaded_ray.schema import IndexSchema, id_field, text_field
+    from whoosh_reloaded_ray.state.searcher import IndexSearcher
+
+    text = "connection connected connecting connects"
+    corpus = str(tmp_path / "fancy.parquet")
+    pq.write_table(pa.table({"conv_id": ["c0"], "text": [text]}), corpus)
+    schema = IndexSchema(
+        fields=[id_field("conv_id"), text_field("text", analyzer=fancy_analyzer(), chars=True)]
+    )
+    idx = str(tmp_path / "fancyidx")
+    build_index([corpus], idx, schema=schema, num_shards=2, partition_rows=10)
+    q = Term("text", "connects")
+    local = IndexSearcher(idx, executor="local")
+    assert hl.payload_spans(local, 0, "text", {"connects"}) == {(32, 40)}
+    rays = IndexSearcher(idx, executor="ray", num_actors=1)
+    try:
+        for s in (local, rays):
+            assert hl.highlight_hit(s, 0, "text", q) == "connected connecting CONNECTS"
+    finally:
+        for w in rays.workers:
+            ray.kill(w)
+
+
 def _install_fake_genshi(monkeypatch):
     """Minimal structural genshi stand-in, injected for BOTH engines so the
     reference GenshiFormatter (which hard-imports genshi.core) and ours see

@@ -303,3 +303,19 @@ def test_stale_searcher_raises_once_its_segments_are_collected(corpus, idx, ray_
         for s in (old, warm):
             with pytest.raises(FileNotFoundError, match=r"segment seg-\d+"):
                 s.search(Term("text", term), limit=None)
+
+
+def test_never_read_searcher_alone_raises_once_its_segments_are_collected(corpus, idx, ray_session, tmp_path):
+    # the same cycles with one searcher that never read a file as the only
+    # one open: no other searcher warms or shares its readers
+    from whoosh_reloaded_ray.pipelines.merge import maybe_merge
+
+    old = IndexSearcher(idx)
+    for i in range(3):
+        extra = str(tmp_path / f"more-{i}.parquet")
+        generate_transcripts(extra, n_turns=60, avg_turn_words=20, seed=70 + i, rows_per_file=60)
+        write_ops.append_documents(idx, extra)
+        maybe_merge(idx, optimize=True)
+    for term in _terms(corpus):
+        with pytest.raises(FileNotFoundError, match=r"segment seg-\d+"):
+            old.search(Term("text", term), limit=None)

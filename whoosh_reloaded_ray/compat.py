@@ -982,46 +982,8 @@ class IntraWordFilter(Filter):
         self.mergewords = mergewords
         self.mergenums = mergenums
 
-    @staticmethod
-    def _merge_chars(parts, mergewords, mergenums):
-        # same insertion logic as functions.analysis._iw_merge, carrying
-        # [text, pos, startchar, endchar] so merged runs get the full span
-        last = 0
-        insertat = 0
-        buf = []
-        pos = 0
-
-        def insert_item(at, newpos):
-            parts.insert(
-                at,
-                ["".join(p[0] for p in buf), newpos, buf[0][2], buf[-1][3]],
-            )
-
-        for item in list(parts):
-            text, pos = item[0], item[1]
-            if text.isalpha():
-                this = 1
-            elif text.isdigit():
-                this = 2
-            else:
-                this = None
-            if buf and (
-                (this == last == 1 and mergewords)
-                or (this == last == 2 and mergenums)
-            ):
-                buf.append(item)
-            else:
-                if len(buf) > 1:
-                    insert_item(insertat, pos - 1)
-                    insertat += 1
-                buf = [item]
-                last = this
-            insertat += 1
-        if len(buf) > 1:
-            insert_item(len(parts), pos)
-
     def _filter_tokens(self, tokens, mode=""):
-        from .functions.analysis import _iw_split
+        from .functions.analysis import _iw_merge, _iw_split
 
         newpos = None
         for tk in tokens:
@@ -1038,11 +1000,11 @@ class IntraWordFilter(Filter):
             base = tk.startchar or 0
             ranges = list(_iw_split(text, self.splitwords, self.splitnums))
             parts = [
-                [text[sc:ec], newpos + i, base + sc, base + ec]
+                (text[sc:ec], newpos + i, base + sc, base + ec)
                 for i, (sc, ec) in enumerate(ranges)
             ]
             if len(parts) > 1 and (self.mergewords or self.mergenums):
-                self._merge_chars(parts, self.mergewords, self.mergenums)
+                _iw_merge(parts, self.mergewords, self.mergenums)
             for ptext, ppos, sc, ec in parts:
                 t = tk.copy()
                 t.text, t.pos, t.startchar, t.endchar = ptext, ppos, sc, ec

@@ -745,7 +745,9 @@ def _iw_split(text: str, splitwords: bool, splitnums: bool):
 
 
 def _iw_merge(parts, mergewords: bool, mergenums: bool):
-    """In-place merged-run insertion (reference _merge)."""
+    """In-place merged-run insertion (reference _merge) over
+    (text, pos, startchar, endchar) parts: a merged run spans its first
+    part's start to its last part's end."""
     last = 0
     insertat = 0
     buf = []
@@ -753,10 +755,10 @@ def _iw_merge(parts, mergewords: bool, mergenums: bool):
 
     def insert_item(at, newpos):
         newtext = "".join(item[0] for item in buf)
-        parts.insert(at, (newtext, newpos))
+        parts.insert(at, (newtext, newpos, buf[0][2], buf[-1][3]))
 
     for item in list(parts):
-        text, pos = item
+        text, pos = item[0], item[1]
         if text.isalpha():
             this = 1
         elif text.isdigit():
@@ -777,18 +779,22 @@ def _iw_merge(parts, mergewords: bool, mergenums: bool):
 
 
 def _intraword(tokens, splitwords=True, splitnums=True, mergewords=False, mergenums=False):
-    """[(text, pos)] -> expanded [(text, pos)] (reference __call__)."""
+    """[(text, pos, startchar, endchar)] -> expanded tokens of the same
+    shape (reference __call__); a subword spans its slice of the word."""
     out = []
     newpos = None
-    for text, pos in tokens:
+    for text, pos, sc0, ec0 in tokens:
         if newpos is None:
             newpos = pos
         if (text.isalpha() and (text.islower() or text.isupper())) or text.isdigit():
-            out.append((text, newpos))
+            out.append((text, newpos, sc0, ec0))
             newpos += 1
         else:
             ranges = list(_iw_split(text, splitwords, splitnums))
-            parts = [(text[sc:ec], i + newpos) for i, (sc, ec) in enumerate(ranges)]
+            parts = [
+                (text[sc:ec], i + newpos, sc0 + sc, sc0 + ec)
+                for i, (sc, ec) in enumerate(ranges)
+            ]
             if len(parts) > 1 and (mergewords or mergenums):
                 _iw_merge(parts, mergewords, mergenums)
             out.extend(parts)
@@ -814,8 +820,10 @@ def fancy_analyzer(
     )
 
 
-def make_fancy(spec: AnalyzerSpec) -> AnalyzeFn:
-    ws = re.compile(r"\s+", re.UNICODE)
+def make_fancy(spec: AnalyzerSpec, chars: bool = False) -> AnalyzeFn:
+    """FancyAnalyzer's analyze function: [(text, pos)], or with ``chars``
+    [(text, pos, startchar, endchar)] for the Characters payload."""
+    ws = re.compile(r"\S+", re.UNICODE)
     stops = spec.stopwords
     minsize = spec.minsize
     maxsize = spec.maxsize
@@ -825,24 +833,23 @@ def make_fancy(spec: AnalyzerSpec) -> AnalyzeFn:
     def analyze(text: str) -> list:
         if not text:
             return []
-        raw = [w for w in ws.split(text) if w]
         toks = _intraword(
-            list(zip(raw, range(len(raw)))),
+            [(m.group(0), i, m.start(), m.end()) for i, m in enumerate(ws.finditer(text))],
             mergewords=mergewords,
             mergenums=mergenums,
         )
-        toks = [(t.lower(), p) for t, p in toks]
         # StopFilter(renumber=True) over the intraword positions: first
         # survivor keeps ITS position, the rest go consecutive
         out = []
         pos = None
-        for t, p in toks:
+        for t, p, sc, ec in toks:
+            t = t.lower()
             lt = len(t)
             if lt >= minsize and (maxsize is None or lt <= maxsize) and (
                 stops is None or t not in stops
             ):
                 pos = p if pos is None else pos + 1
-                out.append((t, pos))
+                out.append((t, pos, sc, ec) if chars else (t, pos))
         return out
 
     return analyze

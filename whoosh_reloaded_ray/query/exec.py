@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 import re
+import threading
 from functools import lru_cache
 
 import numpy as np
@@ -303,27 +304,34 @@ def _decode_posting_columns(t: pa.Table):
 
 class _LRU:
     """LRU cache bounded by the summed size of its entries (bytes, or 1 per
-    entry for a cap on the entry count)."""
+    entry for a cap on the entry count).  Thread-safe: one reader serves
+    every searcher open on its segment, whichever thread opened it."""
 
     def __init__(self, cap: int):
         self.cap = cap
         self.used = 0
         self._d: "OrderedDict" = OrderedDict()
+        self._lock = threading.Lock()
 
     def get(self, key):
-        hit = self._d.get(key)
-        if hit is None:
-            return None
-        self._d.move_to_end(key)
-        return hit[0]
+        with self._lock:
+            hit = self._d.get(key)
+            if hit is None:
+                return None
+            self._d.move_to_end(key)
+            return hit[0]
 
     def put(self, key, value, nbytes: int) -> None:
         if nbytes > self.cap:
             return
-        self._d[key] = (value, nbytes)
-        self.used += nbytes
-        while self.used > self.cap:
-            self.used -= self._d.popitem(last=False)[1][1]
+        with self._lock:
+            old = self._d.pop(key, None)
+            if old is not None:
+                self.used -= old[1]
+            self._d[key] = (value, nbytes)
+            self.used += nbytes
+            while self.used > self.cap:
+                self.used -= self._d.popitem(last=False)[1][1]
 
 
 class SegmentReader:
@@ -335,7 +343,13 @@ class SegmentReader:
     segment's files mapped and decodes term extents lazily.  A one-row-group
     shard file (the usual size) is read whole; a larger one reads only the
     row groups whose footer statistics may hold the term.  Nothing is read
-    at open."""
+    at open.
+
+    A searcher takes its readers from a process-wide registry
+    (``state.searcher.shared_reader``), so each row group is read once per
+    process and shared by every open searcher on the segment.  Every cache
+    here therefore depends on the segment's files only, never on a
+    searcher's tombstones or scoring constants."""
 
     def __init__(self, index_dir: str, seg: SegmentMeta):
         self.seg = seg

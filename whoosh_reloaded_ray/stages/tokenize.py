@@ -442,9 +442,11 @@ class Tokenizer:
             if fname in self.custom_formats:
                 # custom Format codec: arbitrary Python encode -> loop path
                 self._loop_field(self.analyzers[i], batch, docnums, out)
-            elif fname in self.chars_fields and aspec is not None and aspec.kind in (
-                "standard", "simple", "stemming",
-            ) and (not aspec.post_filters or self._delim_kw(aspec) is not None):
+            elif fname in self.chars_fields and aspec is not None and (
+                aspec.kind == "fancy"
+                or aspec.kind in ("standard", "simple", "stemming")
+                and (not aspec.post_filters or self._delim_kw(aspec) is not None)
+            ):
                 self._chars_field(fname, spec_tuple, batch, docnums, out)
             elif (
                 aspec is not None
@@ -480,13 +482,14 @@ class Tokenizer:
                 cols.append(pa.array([], type=POSTING_SCHEMA.field(name).type))
         return pa.Table.from_arrays(cols, schema=POSTING_SCHEMA)
 
-    def _chars_field(self, fname, spec_tuple, batch, docnums, out):
-        """Loop path for chars-enabled fields (reference Characters format,
-        formats.py:344-409): finditer keeps each surviving token's raw
-        (startchar, endchar) span alongside the renumbered position; the
-        per-posting chars payload is the varint stream
-        [count, s1, e1-s1, s2-e1, e2-s2, ...]."""
-        _, aspec, scorable, keep_pos, boost = spec_tuple
+    def _span_tokens(self, fname, aspec):
+        """text -> [(term, position, startchar, endchar, boost)] for a
+        chars-enabled field: each surviving token with its raw span."""
+        if aspec.kind == "fancy":
+            from ..functions.analysis import make_fancy
+
+            fancy = make_fancy(aspec, chars=True)
+            return lambda text: [(t, p, s, e, 1.0) for t, p, s, e in fancy(text)]
         pat = self._vec_pats.setdefault(
             fname, _re.compile(aspec.pattern, _re.UNICODE)
         )
@@ -513,20 +516,8 @@ class Tokenizer:
         from ..functions.analysis import resolve_delim_typ
 
         dtyp = resolve_delim_typ(dk.get("typ", float)) if dk is not None else float
-        want_boosts = fname in self.boosts_fields
-        R = self.num_shards
-        salted = self.salted
-        doc_lo, doc_n = self.doc_range
 
-        fields_out, terms_out, docs_out = [], [], []
-        weights_out, pos_out, chars_out, boosts_out, lens_out, shard_out = (
-            [], [], [], [], [], []
-        )
-        rb = self._row_boosts(fname, batch)
-        for i, text in enumerate(batch[fname].to_pylist()):
-            if text is None:
-                continue
-            docnum = int(docnums[i])
+        def tokens(text):
             # tokenize with spans, lower, stop+renumber (whoosh rule: first
             # survivor keeps its raw index, later survivors go consecutive)
             surv = []
@@ -556,6 +547,33 @@ class Tokenizer:
                         surv.append((t, pos, m.start(), end, tb))
                     else:
                         surv.append((t, idx, m.start(), end, tb))
+            return surv
+
+        return tokens
+
+    def _chars_field(self, fname, spec_tuple, batch, docnums, out):
+        """Loop path for chars-enabled fields (reference Characters format,
+        formats.py:344-409): the analyzer keeps each surviving token's raw
+        (startchar, endchar) span alongside the renumbered position; the
+        per-posting chars payload is the varint stream
+        [count, s1, e1-s1, s2-e1, e2-s2, ...]."""
+        _, aspec, scorable, keep_pos, boost = spec_tuple
+        tokens = self._span_tokens(fname, aspec)
+        want_boosts = fname in self.boosts_fields
+        R = self.num_shards
+        salted = self.salted
+        doc_lo, doc_n = self.doc_range
+
+        fields_out, terms_out, docs_out = [], [], []
+        weights_out, pos_out, chars_out, boosts_out, lens_out, shard_out = (
+            [], [], [], [], [], []
+        )
+        rb = self._row_boosts(fname, batch)
+        for i, text in enumerate(batch[fname].to_pylist()):
+            if text is None:
+                continue
+            docnum = int(docnums[i])
+            surv = tokens(text)
             if not surv and not scorable:
                 continue
             agg: dict = {}

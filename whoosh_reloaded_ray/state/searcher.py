@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 import time
+import weakref
 from collections import OrderedDict
 
 import numpy as np
@@ -32,6 +34,7 @@ import pyarrow as pa
 
 from ..query import ast
 from ..query.exec import ScoreContext, SegmentReader, evaluate
+from ..state import storage
 from ..state.manifest import Manifest, load_manifest
 
 
@@ -69,9 +72,35 @@ def _split_sort_spec(sortedby):
     return fields, flags
 
 
+# SegmentReaders of every segment some searcher in this process holds, keyed
+# by the segment directory's stamp.  Weak values: a reader lives exactly as
+# long as a searcher holds it, so a searcher opened while another is alive
+# on the same segments reuses that one's warm caches (whoosh's
+# ``Searcher.refresh`` reuse of unchanged segment readers), and nothing
+# outlives the last searcher.
+_READERS: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
+_READERS_LOCK = threading.Lock()
+
+
+def shared_reader(index_dir: str, seg) -> SegmentReader:
+    """The live reader of segment ``seg`` if one exists in this process,
+    else a new one.  The key is the segment directory's stamp (resolved
+    path, inode, mtime), not its name, so a segment rebuilt under the same
+    name never gets a reader of the old files; a hit must also describe the
+    same segment.  A filesystem that gives no stamp gets no sharing."""
+    key = storage.stamp(storage.join(index_dir, seg.name))
+    if key is None:
+        return SegmentReader(index_dir, seg)
+    with _READERS_LOCK:
+        r = _READERS.get(key)
+        if r is None or r.seg != seg:
+            r = _READERS[key] = SegmentReader(index_dir, seg)
+        return r
+
+
 class _SegmentWorker:
     """Holds SegmentReaders for a subset of segments (used in-process or as
-    the body of a Ray actor)."""
+    the body of a Ray actor), taken from the process-wide registry."""
 
     def __init__(self, index_dir: str, manifest_dict: dict, seg_indices: list):
         # fault-injection hook (tests only; _rayutil.consume_fault_flag): a
@@ -84,7 +113,7 @@ class _SegmentWorker:
             f.name: (f.kind, getattr(f, "numtype", "int"))
             for f in man.schema.fields
         }
-        self.readers = [SegmentReader(index_dir, man.segments[i]) for i in seg_indices]
+        self.readers = [shared_reader(index_dir, man.segments[i]) for i in seg_indices]
         # tombstone mask (deleted docs stay in collection stats, exactly
         # like the reference's doc_count_all; they are filtered from every
         # result set at evaluation time)

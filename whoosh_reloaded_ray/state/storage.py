@@ -47,6 +47,28 @@ def exists(path: str) -> bool:
     return f.get_file_info(p).type != pafs.FileType.NotFound
 
 
+def stamp(path: str):
+    """Identity of the directory or file at ``path`` as it is now: its
+    resolved path, inode and modification time in ns (for a URI the
+    filesystem type, its path and modification time).  A directory deleted
+    and made again under the same name gets a new stamp.  None when
+    ``path`` is missing or its filesystem keeps no modification time (an
+    object store's directories)."""
+    if not is_uri(path):
+        try:
+            st = os.stat(path)
+        except FileNotFoundError:
+            return None
+        return os.path.realpath(path), st.st_ino, st.st_mtime_ns
+    from pyarrow import fs as pafs
+
+    f, p = resolve(path)
+    info = f.get_file_info(p)
+    if info.type == pafs.FileType.NotFound or info.mtime_ns is None:
+        return None
+    return f.type_name, p, info.mtime_ns
+
+
 def makedirs(path: str) -> None:
     if not is_uri(path):
         os.makedirs(path, exist_ok=True)
