@@ -5,10 +5,10 @@ The kills are REAL process deaths (``os._exit(1)`` via
 the index dir — exactly one worker consumes it), not Python exceptions.
 What recovers is Ray's own machinery, which these tests exist to exercise:
 
-  * build: Ray Data's actor-pool restart + task retry re-runs the dead
-    ShardSegmentWriter's group; every file write is atomic (tmp + rename)
-    and the build is byte-deterministic, so the recovered index must be
-    file-for-file identical to an uninjected build;
+  * build: Ray's task retry re-runs the shard write task whose worker
+    died (``pipelines/build.py``); every file write is atomic (tmp +
+    rename) and the build is byte-deterministic, so the recovered index
+    must be file-for-file identical to an uninjected build;
   * query: the searcher actors are declared ``max_restarts/max_task_retries``
     (state/searcher.py) because they are pure snapshot readers — a worker
     dying MID-EVALUATE must transparently restart, replay the read, and
@@ -67,9 +67,9 @@ def _tree_hashes(idx_dir: str) -> dict:
 
 
 def test_writer_death_mid_build_identical_index(corpus, ray_session, tmp_path):
-    """Kill one segment-writer actor mid-build; Ray Data restarts it and
-    retries the shard group; the committed index is file-identical to an
-    uninjected build (byte-determinism + atomic writes = idempotent retry)."""
+    """Kill the worker of one shard write task mid-build; Ray retries the
+    task; the committed index is file-identical to an uninjected build
+    (byte-determinism + atomic writes = idempotent retry)."""
     from whoosh_reloaded_ray.pipelines.build import build_index
 
     clean = str(tmp_path / "idx_clean")
@@ -150,7 +150,7 @@ def test_searcher_death_mid_query(idx_dir):
     # the restarted worker keeps serving the full query set correctly
     for q, w in zip(qs, want):
         _assert_same(w, rays.search(q, limit=10))
-    # stats fan-out also survives the restarted pool
+    # doc frequencies come from the driver's readers, unaffected by the death
     t = qs[0].field, qs[0].text
     assert local.doc_frequency(*t) == rays.doc_frequency(*t)
 

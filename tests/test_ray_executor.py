@@ -10,7 +10,9 @@ import numpy as np
 import pyarrow.parquet as pq
 import pytest
 
-from whoosh_reloaded_ray.query import And, Not, Or, Phrase, Prefix, Term
+from whoosh_reloaded_ray.query import (
+    And, FuzzyTerm, Not, Or, Phrase, Prefix, Regex, Term, TermRange, Wildcard,
+)
 from whoosh_reloaded_ray.sources.corpus import generate_transcripts
 from whoosh_reloaded_ray.state.searcher import IndexSearcher
 
@@ -67,7 +69,8 @@ def test_ray_executor_matches_local(idx_dir):
 def test_actor_call_args_pickle_by_reference(idx_dir):
     """A served query ships its AST and ScoreContext to the segment actors
     by reference: the package's classes are imported on the workers, not
-    pickled into every call.  Results stay equal to the local executor."""
+    pickled into every call, so the packed message of a search stays
+    small.  Results stay equal to the local executor."""
     import ray
 
     local = IndexSearcher(idx_dir, executor="local")
@@ -84,9 +87,109 @@ def test_actor_call_args_pickle_by_reference(idx_dir):
         ctx = rays._context(rq)
         assert len(ray.cloudpickle.dumps((rq, ctx))) < 4096, q
         a = local.search(q, limit=10)
+        sent = rays.fanout.msg_bytes
         b = rays.search(q, limit=10)
+        # the one packed (method, args) message each actor received
+        assert 0 < rays.fanout.msg_bytes - sent < 4096, q
         np.testing.assert_array_equal(a["docnum"].to_numpy(), b["docnum"].to_numpy())
         np.testing.assert_allclose(a["score"].to_numpy(), b["score"].to_numpy(), atol=0)
+
+
+def _kill(searcher):
+    import ray
+
+    for w in searcher.workers:
+        ray.kill(w)
+
+
+def test_each_search_is_one_fanout(idx_dir):
+    """A term, prefix, wildcard or range search makes exactly one call per
+    worker: expansion and doc frequencies are answered on the driver, for
+    a cold term set too, and the statistics APIs make no worker call."""
+    rays = IndexSearcher(idx_dir, executor="ray", num_actors=2)
+    try:
+        assert len(rays.workers) == 2
+        vocab = _vocab(idx_dir)
+        t = vocab[4]
+        lo, hi = sorted(vocab[10:12])
+        for s, n in ((IndexSearcher(idx_dir), 1), (rays, len(rays.workers))):
+            for q in (
+                Term("text", t),
+                Prefix("text", t[:2]),
+                Wildcard("text", t[:1] + "*" + t[-1:]),
+                TermRange("text", lo, hi),
+                Or([Term("text", vocab[60]), Term("text", vocab[61])]),  # cold term set
+            ):
+                calls = s.fanout.calls
+                s.search(q, limit=10)
+                assert s.fanout.calls - calls == n, (s.executor, q)
+            calls = s.fanout.calls
+            s.doc_frequency("text", vocab[70])
+            s.frequencies([("text", vocab[71])])
+            s.lexicon("text", t[:1])
+            s.most_frequent_terms("text")
+            s.most_distinctive_terms("text")
+            s.suggest("text", t[:-1])
+            assert s.fanout.calls == calls, s.executor
+        assert rays.fanout.ms > 0
+    finally:
+        _kill(rays)
+
+
+def _driver_side_answers(s, vocab) -> list:
+    """What moved from the actors to the driver: multiterm expansion
+    (searched) and the term statistics APIs."""
+    t = vocab[3]
+    lo, hi = sorted(vocab[10:12])
+    out = []
+    for q in (
+        Prefix("text", t[:2]),
+        Wildcard("text", t[:1] + "*" + t[-1:]),
+        TermRange("text", lo, hi),
+        Regex("text", t[:2] + ".*"),
+        FuzzyTerm("text", t, maxdist=1),
+    ):
+        res = s.search(q, limit=20)
+        out.append((repr(q), res["docnum"].to_pylist(), res["score"].to_pylist()))
+    out += [
+        s.lexicon("text", t[:1]),
+        s.most_frequent_terms("text", 10),
+        s.most_distinctive_terms("text", 10),
+        s.frequencies([("text", w) for w in vocab[:30]]),
+        s._doc_freqs([("text", w) for w in vocab[:30]]),
+        s.suggest("text", t[:-1]),
+    ]
+    return out
+
+
+def test_driver_statistics_match_local_before_and_after_delete(idx_dir, tmp_path):
+    """Prefix/wildcard/range/regex/fuzzy searches and lexicon, most_*_terms,
+    frequencies and suggest give the local executor's answers on the ray
+    executor, before and after a delete; doc frequencies keep counting
+    deleted docs."""
+    import shutil
+
+    from whoosh_reloaded_ray.pipelines.write_ops import delete_by_term
+
+    d = str(tmp_path / "idx")
+    shutil.copytree(idx_dir, d)
+    vocab = _vocab(d)
+    gone = vocab[8]
+    for deleted in (False, True):
+        if deleted:
+            assert delete_by_term(d, "text", gone) > 0
+        local = IndexSearcher(d, executor="local")
+        rays = IndexSearcher(d, executor="ray", num_actors=2)
+        try:
+            assert _driver_side_answers(rays, vocab) == _driver_side_answers(local, vocab)
+            hits = rays.search(Term("text", gone), limit=None)
+            assert (hits.num_rows == 0) == deleted
+            assert rays.doc_frequency("text", gone) == local.doc_frequency("text", gone) > 0
+        finally:
+            _kill(rays)
+        if not deleted:
+            df_before = local.doc_frequency("text", gone)
+    assert local.doc_frequency("text", gone) == df_before
 
 
 def test_ray_executor_facets_and_sorting(idx_dir):

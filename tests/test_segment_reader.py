@@ -189,3 +189,23 @@ def test_large_shard_reads_only_row_groups_holding_the_term(ray_session, tmp_pat
     assert r.postings("text", "a00001").docs.tolist() == [1]
     assert reads == []
     assert r.postings("text", "a08999").docs.tolist() == [8999]
+
+
+def test_missing_postings_file_raises(index, tmp_path):
+    """A shard whose terminfo holds a term but whose postings file is gone
+    raises, naming the file, instead of answering with no postings."""
+    import shutil
+
+    from whoosh_reloaded_ray.query import Term
+    from whoosh_reloaded_ray.state.searcher import IndexSearcher
+
+    d = str(tmp_path / "idx")
+    shutil.copytree(index, d)
+    seg_dir = _reader(d).dir
+    os.remove(os.path.join(seg_dir, "postings-0001.parquet"))
+    held = _text_terms(seg_dir, 1)[0]
+    intact = _text_terms(seg_dir, 0)[0]
+    s = IndexSearcher(d)
+    assert s.search(Term("text", intact), limit=None).num_rows > 0
+    with pytest.raises(FileNotFoundError, match="postings-0001.parquet"):
+        s.search(Term("text", held), limit=None)

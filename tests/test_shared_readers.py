@@ -202,3 +202,29 @@ def test_rebuilt_or_collected_segments_never_reuse_a_reader(index, tmp_path):
     assert all(storage.exists(r.dir) for r in c.local.readers)
     for i in range(3):
         assert c.search(Term("text", f"mkrebuilt{i}"), limit=None).num_rows == 32
+
+
+def test_threads_sharing_a_searcher_count_every_fanout(index):
+    """Threads searching one searcher at once lose no fan-out count."""
+    idx, _ = index
+    s = IndexSearcher(idx)
+    q, rounds = Term("text", "zzabsentzz"), 200
+    start = threading.Barrier(THREADS)
+
+    def run():
+        start.wait(timeout=60)
+        for _ in range(rounds):
+            s.search(q, limit=10)
+
+    threads = [threading.Thread(target=run) for _ in range(THREADS)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert s.fanout.calls == THREADS * rounds

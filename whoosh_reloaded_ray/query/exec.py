@@ -577,12 +577,19 @@ class SegmentReader:
     def _read_blocks(self, field: str, term: str):
         """Block rows of a term, doc-ordered across (possibly salted)
         shards and row groups, or None.  A shard whose terminfo lacks the
-        term has no postings for it, so its postings file is not read."""
-        parts = [
-            t for shard in self._shards_for(field, term)
-            if self._rows(TERMINFO_FILE, shard, field, term, term)
-            for t in self._rows(POSTINGS_FILE, shard, field, term, term)
-        ]
+        term has no postings for it, so its postings file is not read; a
+        shard whose terminfo holds the term must have a postings file."""
+        parts = []
+        for shard in self._shards_for(field, term):
+            if not self._rows(TERMINFO_FILE, shard, field, term, term):
+                continue
+            path = storage.join(self.dir, POSTINGS_FILE.format(shard=shard))
+            if self._footer(path) is None:
+                raise FileNotFoundError(
+                    f"postings file {path} is missing, but its shard's terminfo "
+                    f"holds {field}:{term!r}"
+                )
+            parts += self._rows(POSTINGS_FILE, shard, field, term, term)
         if len(parts) <= 1:
             return parts[0] if parts else None
         # salted sub-shards hold disjoint docnum ranges and blocks are

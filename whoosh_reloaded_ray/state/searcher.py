@@ -8,13 +8,22 @@ global stats, so per-segment top-k + heap merge equals whole-index top-k
 (ties by ascending docnum, matching the reference's (score, -docnum) heap,
 collectors.py:466-483).
 
+Global statistics (doc frequencies, total term weights, the vocabulary
+that prefix/wildcard/range/regex/fuzzy queries expand over, lexicon and
+most-frequent-terms stats) come from the driver's ``_local_worker()``
+readers: the process-wide shared readers, which read only terminfo row
+groups for these.  The driver must therefore be able to read the index
+directory on either executor.
+
 Two executors, one fan-out path (``IndexSearcher._partials``):
   * local  — one in-process worker over every segment (tests, small
     indexes, and the driver-gate queries);
   * ray    — an actor pool, each actor pinning a disjoint set of segments
-    with warm caches (terminfo/postings/doclens), queries fan out as actor
-    calls.  This is the query-side scale path: segments partition the doc
-    space, so adding nodes adds segment actors.
+    with warm caches (terminfo/postings/doclens).  Each search is one
+    fan-out: one message, ``(method, args)`` pickled once, sent to each
+    actor's single entry point ``_SegmentWorker.call``.  This is the
+    query-side scale path: segments partition the doc space, so adding
+    nodes adds segment actors.
 Either way each worker returns one partial per call and the driver merges
 the partials once.  For block-max WAND top-k a worker threads its pruning
 threshold (theta) across its own segments; workers do not share theta.
@@ -24,10 +33,12 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 import threading
 import time
 import weakref
 from collections import OrderedDict
+from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
@@ -128,45 +139,11 @@ class _SegmentWorker:
         except Exception:
             return "local"
 
-    def doc_freqs(self, terms: list) -> dict:
-        out = {}
-        for r in self.readers:
-            for f, t in terms:
-                out[(f, t)] = out.get((f, t), 0) + r.doc_frequency(f, t)
-        return out
-
-    def frequencies(self, terms: list) -> dict:
-        """Total term weight (reference reader.frequency) per (field, term)."""
-        out = {}
-        for r in self.readers:
-            for f, t in terms:
-                info = r.terminfo(f, t)
-                if info:
-                    out[(f, t)] = out.get((f, t), 0.0) + float(info["weight_sum"])
-        return out
-
-    def expand_terms(self, specs: list) -> dict:
-        """specs: list of (field, start, end, startexcl, endexcl)."""
-        out = {}
-        for spec in specs:
-            acc = set()
-            for r in self.readers:
-                acc.update(r.expand_terms(*spec))
-            out[spec] = sorted(acc)
-        return out
-
-    def term_stats(self, field: str, prefix: str = "") -> dict:
-        """{term: (weight_sum, doc_freq)} summed over this worker's
-        segments."""
-        out: dict = {}
-        for r in self.readers:
-            for term, (w, df) in r.terminfo_prefix(field, prefix).items():
-                if term in out:
-                    ow, odf = out[term]
-                    out[term] = (ow + w, odf + df)
-                else:
-                    out[term] = (w, df)
-        return out
+    def call(self, msg: bytes):
+        """The actor entry point: run the ``(method, args)`` message that
+        ``IndexSearcher._partials`` packed once for its whole fan-out."""
+        method, args = pickle.loads(msg)
+        return getattr(self, method)(*args)
 
     def doc_values(self, field: str, docnums) -> tuple:
         """(docnums, values) arrays for the SORTED ``docnums`` owned by
@@ -505,6 +482,27 @@ def _sum_partials(parts) -> dict:
     return out
 
 
+_FANOUT_LOCK = threading.Lock()
+
+
+@dataclass
+class FanoutStats:
+    """A searcher's worker fan-outs so far (counters, not settings):
+    ``calls`` (worker calls: one per actor per fan-out, one per fan-out on
+    the local executor), ``msg_bytes`` (packed messages, once per fan-out;
+    0 on the local executor) and ``ms`` (round-trip wall time)."""
+
+    calls: int = 0
+    msg_bytes: int = 0
+    ms: float = 0.0
+
+    def add(self, calls: int, msg_bytes: int, secs: float) -> None:
+        with _FANOUT_LOCK:  # threads may share one searcher
+            self.calls += calls
+            self.msg_bytes += msg_bytes
+            self.ms += secs * 1e3
+
+
 class TimeLimitExceeded(Exception):
     """Raised when a ``timelimit`` search runs over budget (reference
     TimeLimitCollector, collectors.py:1012-1110); ``partial`` carries the
@@ -552,6 +550,7 @@ class IndexSearcher:
         # stats (df/idf/avgfl/cf/fl) for a given term set never change for
         # this object's lifetime; bounded LRU caps driver memory
         self._ctx_cache: OrderedDict = OrderedDict()
+        self.fanout = FanoutStats()
         n_seg = len(self.manifest.segments)
         if executor == "ray":
             import ray
@@ -586,7 +585,8 @@ class IndexSearcher:
 
     def _local_worker(self) -> "_SegmentWorker":
         """An in-process worker over ALL segments (lazily built on the
-        ray executor, for driver-side point lookups like doclens)."""
+        ray executor, for the global term statistics and driver-side point
+        lookups like doclens)."""
         w = getattr(self, "local", None)
         if w is None:
             w = self.local = _SegmentWorker(
@@ -733,13 +733,38 @@ class IndexSearcher:
                 out.setdefault(d, []).append((s, e))
         return out
 
+    # Global term statistics come from the driver's shared readers, which
+    # read only terminfo row groups, so a search's one actor fan-out is its
+    # evaluation.  Doc frequencies count deleted docs, like the reference's.
+
+    def _doc_freqs(self, terms: list) -> dict:
+        out: dict = {}
+        for r in self._local_worker().readers:
+            for f, t in terms:
+                out[(f, t)] = out.get((f, t), 0) + r.doc_frequency(f, t)
+        return out
+
     def frequencies(self, terms: list) -> dict:
-        return _sum_partials(self._partials("frequencies", terms))
+        """Total term weight (reference reader.frequency) per (field, term)."""
+        out: dict = {}
+        for r in self._local_worker().readers:
+            for f, t in terms:
+                info = r.terminfo(f, t)
+                if info:
+                    out[(f, t)] = out.get((f, t), 0.0) + float(info["weight_sum"])
+        return out
+
+    def _expand(self, specs: list) -> dict:
+        """specs: list of (field, start, end, startexcl, endexcl) -> the
+        sorted terms of the whole index in that range."""
+        readers = self._local_worker().readers
+        return {s: sorted(set().union(*(r.expand_terms(*s) for r in readers))) for s in specs}
 
     def _term_stats(self, field: str, prefix: str = "") -> dict:
+        """{term: (weight_sum, doc_freq)} summed over every segment."""
         out: dict = {}
-        for p in self._partials("term_stats", field, prefix):
-            for term, (w, df) in p.items():
+        for r in self._local_worker().readers:
+            for term, (w, df) in r.terminfo_prefix(field, prefix).items():
                 ow, odf = out.get(term, (0, 0))
                 out[term] = (ow + w, odf + df)
         return out
@@ -845,13 +870,6 @@ class IndexSearcher:
             self, docnum, fieldname, limit=limit, numterms=numterms,
             model=model or expand.Bo1Model,
         )
-
-    def _doc_freqs(self, terms: list) -> dict:
-        return _sum_partials(self._partials("doc_freqs", terms))
-
-    def _expand(self, specs: list) -> dict:
-        parts = self._partials("expand_terms", specs)
-        return {s: sorted(set().union(*(p[s] for p in parts))) for s in specs}
 
     # ---- query rewrite (global multiterm expansion) ----------------------
 
@@ -1225,14 +1243,23 @@ class IndexSearcher:
 
     def _partials(self, method: str, *args) -> list:
         """Run one ``_SegmentWorker`` method on every worker and return the
-        list of partials: ``ray.get`` over the actor pool, or one call on
-        the in-process worker.  Every worker operation goes through here,
-        so this is the one place that knows the executor."""
+        list of partials.  On the ray executor ``(method, args)`` is
+        pickled once into one message, and each actor gets one
+        ``_SegmentWorker.call`` with it; the partials come back as Ray
+        returns them.  The local executor makes one in-process call.
+        Every worker operation goes through here, so this is the one place
+        that knows the executor; each fan-out is counted in
+        ``self.fanout``."""
+        t0 = time.perf_counter()
         if self.executor == "ray":
-            return self._ray.get(
-                [getattr(w, method).remote(*args) for w in self.workers]
-            )
-        return [getattr(self.local, method)(*args)]
+            msg = self._ray.cloudpickle.dumps((method, args))
+            nbytes = len(msg)
+            parts = self._ray.get([w.call.remote(msg) for w in self.workers])
+        else:
+            nbytes = 0
+            parts = [getattr(self.local, method)(*args)]
+        self.fanout.add(len(parts), nbytes, time.perf_counter() - t0)
+        return parts
 
     def search_sorted(
         self, q: ast.Query, sortedby, limit: int | None = None, reverse: bool = False
