@@ -749,3 +749,20 @@ def test_searcher_api_fillers(ix, whoosh):
         assert s.up_to_date()
         s2 = s.refresh()
         assert s2.up_to_date()
+
+
+def test_optimize_empty_index_is_a_noop(ray_session, tmp_path):
+    """An index created but never committed has nothing to merge: the
+    compat optimize paths do nothing, while the engine's ``maybe_merge``
+    still raises for a directory with no committed manifest."""
+    from whoosh_reloaded_ray.pipelines.merge import maybe_merge
+
+    d = str(tmp_path)
+    ix = wrr.create_in(d, wrr.Schema(key=wrr.ID(stored=True), name=wrr.TEXT()))
+    ix.optimize()
+    ix.writer().commit(optimize=True)
+    ix.writer().commit(mergetype=wrr.MERGE_SMALL)
+    assert ix.doc_count() == 0
+    assert not wrr.exists_in(d)
+    with pytest.raises(FileNotFoundError):
+        maybe_merge(d, optimize=True)

@@ -5,10 +5,11 @@ The kills are REAL process deaths (``os._exit(1)`` via
 the index dir — exactly one worker consumes it), not Python exceptions.
 What recovers is Ray's own machinery, which these tests exist to exercise:
 
-  * build: Ray's task retry re-runs the shard write task whose worker
-    died (``pipelines/build.py``); every file write is atomic (tmp +
-    rename) and the build is byte-deterministic, so the recovered index
-    must be file-for-file identical to an uninjected build;
+  * build and merge: Ray's task retry re-runs the shard write task
+    (``pipelines/build.py``) or shard merge task (``pipelines/merge.py``)
+    whose worker died; every file write is atomic (tmp + rename) and the
+    output is byte-deterministic, so the recovered index must be
+    file-for-file identical to an uninjected one;
   * query: the searcher actors are declared ``max_restarts/max_task_retries``
     (state/searcher.py) because they are pure snapshot readers — a worker
     dying MID-EVALUATE must transparently restart, replay the read, and
@@ -88,6 +89,32 @@ def test_writer_death_mid_build_identical_index(corpus, ray_session, tmp_path):
     got = _tree_hashes(hurt)
     assert got == want, "recovered build differs from clean build"
     assert man.doc_count == 1200
+
+
+def test_merger_death_mid_merge_identical_index(corpus, ray_session, tmp_path):
+    """Kill the worker of one shard merge task during an optimize; Ray
+    retries the task; the merged index is file-identical to an uninjected
+    merge of the same segments."""
+    from whoosh_reloaded_ray.pipelines.build import build_index
+    from whoosh_reloaded_ray.pipelines.merge import maybe_merge
+
+    def merged(name, crash):
+        idx = str(tmp_path / name)
+        build_index([corpus], idx, num_shards=4, partition_rows=200, rows_per_segment=400)
+        flag = os.path.join(idx, ".fault_crash_merger")
+        if crash:
+            open(flag, "w").close()
+        man = maybe_merge(idx, optimize=True)
+        if crash:
+            assert not os.path.exists(flag), "flag not consumed — no worker died"
+            assert os.path.exists(flag + ".consumed"), "crash hook did not fire"
+            os.unlink(flag + ".consumed")  # not part of the index payload
+        assert len(man.segments) == 1 and man.doc_count == 1200
+        return _tree_hashes(idx)
+
+    want = merged("idx_clean", crash=False)
+    assert any("merged" in rel for rel in want)
+    assert merged("idx_fault", crash=True) == want, "recovered merge differs from clean merge"
 
 
 @pytest.fixture(scope="module")

@@ -319,3 +319,42 @@ def test_never_read_searcher_alone_raises_once_its_segments_are_collected(corpus
     for term in _terms(corpus):
         with pytest.raises(FileNotFoundError, match=r"segment seg-\d+"):
             old.search(Term("text", term), limit=None)
+
+
+def test_writes_run_without_ray_data(corpus, ray_session, tmp_path, monkeypatch):
+    """Build, append, update and merge run on plain Ray tasks: with Ray
+    Data's entry points made to raise, every write still succeeds and the
+    merged index answers like the written rows say."""
+    import ray.data
+
+    from whoosh_reloaded_ray.pipelines.build import build_index
+    from whoosh_reloaded_ray.pipelines.merge import maybe_merge
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a write ran through Ray Data")
+
+    monkeypatch.setattr(ray.data, "from_items", refuse)
+    monkeypatch.setattr(ray.data.Dataset, "map_batches", refuse)
+
+    idx_dir = str(tmp_path / "plainidx")
+    build_index([corpus], idx_dir, num_shards=4, partition_rows=125, rows_per_segment=250)
+    src = pq.read_table(corpus).slice(0, 50)
+    extra = str(tmp_path / "extra.parquet")
+    pq.write_table(src.set_column(
+        src.schema.get_field_index("text"), "text", pa.array(["zzappendedzz"] * 50)
+    ), extra)
+    write_ops.append_documents(idx_dir, extra)
+    upd = str(tmp_path / "upd.parquet")
+    pq.write_table(src.slice(0, 10).set_column(
+        src.schema.get_field_index("text"), "text", pa.array(["qqupdatedqq"] * 10)
+    ), upd)
+    write_ops.update_documents(idx_dir, upd)
+    man = maybe_merge(idx_dir, optimize=True)
+
+    assert len(man.segments) == 1
+    s = IndexSearcher(idx_dir)
+    assert s.manifest.doc_count == 500 + 50 + 10
+    assert s.search(Term("text", "qqupdatedqq"), limit=None).num_rows == 10
+    # the update's keys are the first 10 source rows: their originals and
+    # their appended copies are deleted, the other 40 copies stay
+    assert s.search(Term("text", "zzappendedzz"), limit=None).num_rows == 40

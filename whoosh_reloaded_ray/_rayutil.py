@@ -8,9 +8,27 @@ single machine, or by passing it as job-level
 local directory in a per-actor or per-task ``runtime_env``).  UDFs, actor
 classes and query objects then pickle by reference, so an actor call ships
 only its arguments' data.
+
+Every write task (build's map and shard write, merge's per-shard merge,
+update's key match) is a module-level function made remote by
+``remote_task``, once per process.
 """
 
 from __future__ import annotations
+
+import functools
+
+
+@functools.cache
+def remote_task(fn):
+    """``fn``, a module-level function, as a plain ``num_cpus=1`` Ray remote
+    function.  Each ``ray.remote`` wrapper has its own function id, which
+    the driver exports and each worker fetches before its first run of it;
+    made once, a process pays that once rather than per call.  Ray retries
+    a task whose worker died, so ``fn`` must be safe to run twice."""
+    import ray
+
+    return ray.remote(num_cpus=1)(fn)
 
 
 def consume_fault_flag(flag_path: str) -> None:

@@ -1685,6 +1685,13 @@ def exists_in(dirname: str) -> bool:
     return load_manifest(dirname) is not None
 
 
+def _merge(dirname: str, optimize: bool = False) -> None:
+    """``maybe_merge`` for the compat writers: an index created but never
+    committed has no segments to merge, so there is nothing to do."""
+    if exists_in(dirname):
+        maybe_merge(dirname, optimize=optimize)
+
+
 def open_dir(dirname: str) -> "Index":
     man = load_manifest(dirname)
     if man is None:
@@ -1735,7 +1742,7 @@ class Index:
         return Reader(IndexSearcher(self.dirname))
 
     def optimize(self):
-        maybe_merge(self.dirname, optimize=True)
+        _merge(self.dirname, optimize=True)
 
     def doc_count(self) -> int:
         """UNDELETED doc count (reference Index.doc_count)."""
@@ -1967,9 +1974,9 @@ class Writer:
                 )
             self.rows = []
         if optimize:
-            maybe_merge(self.index.dirname, optimize=True)
+            _merge(self.index.dirname, optimize=True)
         elif mergetype is MERGE_SMALL:
-            maybe_merge(self.index.dirname)
+            _merge(self.index.dirname)
 
     def group(self):
         """Reference IndexWriter.group() (writing.py:240-278): docs added

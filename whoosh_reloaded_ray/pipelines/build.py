@@ -17,9 +17,9 @@ What crosses a task boundary is an Arrow IPC buffer or a plain dict, never
 a ``pa.Table``: Ray pickles a table through a Python-level per-column
 reducer, which held each segment's exchange up by 25-100 ms, varying from
 run to run (the first table a process sends pays extra), where IPC slices
-take about 12 ms.  The two task functions are made remote once per
-process, so Ray exports them and each worker fetches them once, not once
-per segment.
+take about 12 ms.  Both task functions go through
+``_rayutil.remote_task``, the one runner of every write task (merge and
+update use it too), which makes each remote once per process.
 
 Ray retries a map or write task whose worker died; every file write is
 atomic (tmp + rename) and the output is byte-deterministic, so a retry
@@ -39,7 +39,6 @@ one segment, not the build.
 
 from __future__ import annotations
 
-import functools
 import json
 import logging
 import time
@@ -48,6 +47,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .._rayutil import remote_task
 from ..schema import IndexSchema, transcript_schema
 from ..sources.corpus import Partition, plan_partitions, read_partition
 from ..stages.segment_write import ShardSegmentWriter
@@ -213,17 +213,6 @@ def _write_shard(seg_dir: str, *slices: pa.Buffer) -> list:
     return ShardSegmentWriter(seg_dir)(table).to_pylist()
 
 
-@functools.cache
-def _remote_tasks():
-    """The map and write tasks as Ray remote functions.  Each ``ray.remote``
-    wrapper has its own function id, which the driver exports and each
-    worker fetches before its first run of it; made once, a process pays
-    that once rather than per segment."""
-    import ray
-
-    return ray.remote(num_cpus=1)(_map_partition), ray.remote(num_cpus=1)(_write_shard)
-
-
 def _build_segment(
     name: str,
     spec: list,
@@ -257,8 +246,8 @@ def _build_segment(
         salted=salted_terms,
         doc_range=(doc_base, doc_count),
     ))
-    map_task, write_task = _remote_tasks()
-    map_task = map_task.options(num_returns=num_shards)
+    map_task = remote_task(_map_partition).options(num_returns=num_shards)
+    write_task = remote_task(_write_shard)
     slices = [map_task.remote(p, indexed_cols, tok, num_shards) for p in spec]
     if num_shards == 1:
         slices = [[ref] for ref in slices]

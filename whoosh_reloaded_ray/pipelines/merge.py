@@ -1,4 +1,4 @@
-"""Tiered segment merge — the reference's MERGE_SMALL policy, Ray-Data-first.
+"""Tiered segment merge — the reference's MERGE_SMALL policy, on plain Ray tasks.
 
 Policy (behavioral parity with the reference's merge heuristic,
 writing.py:74-109 MERGE_SMALL): sort segments by ascending doc count,
@@ -13,8 +13,9 @@ merging K segments' postings for a shard is a pure BLOCK-ROW CONCATENATION
 sorted by (field, term, doc_min): no decode, no re-encode, no docnum remap
 (docnums are globally dense from the partition plan).  Terminfo rows
 re-aggregate with exact associative stats; doclens rows concatenate.  Each
-shard merges independently in one Ray task, so a merge of any size runs
-with shard-level parallelism and bounded memory.
+shard merges independently in one plain Ray task, made by
+``_rayutil.remote_task`` like build's map and write tasks, so a merge of
+any size runs with shard-level parallelism and bounded memory.
 
 The merged segment's partition lineage is the union of the victims' — its
 docnum ranges may be non-contiguous, which SegmentReader handles via the
@@ -24,13 +25,12 @@ partition map (query/exec.py dense_index/all_docnums).
 from __future__ import annotations
 
 import logging
-import os
 from functools import lru_cache
 
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 
+from .._rayutil import consume_fault_flag, remote_task
 from ..stages.segment_write import DOCLENS_FILE, POSTINGS_FILE, TERMINFO_FILE, _atomic_write
 from ..state.manifest import Manifest, SegmentMeta, clean_files, commit_manifest, load_manifest
 
@@ -69,8 +69,16 @@ def select_merge_small(segments: list) -> tuple[list, list]:
 
 def _merge_shard(index_dir: str, seg_names: list, new_name: str, shard: int) -> dict:
     """Merge one shard across victim segments: block-row concat + terminfo
-    re-aggregation + doclens concat.  Returns {n_terms, n_postings}."""
+    re-aggregation + doclens concat.  Returns {n_terms, n_postings}.
+
+    A task of its own (``merge_segments``): every write is atomic and the
+    output byte-deterministic, so Ray's retry after a worker death rewrites
+    the same files."""
     from ..state import storage
+
+    # fault-injection hook (tests only; see _rayutil.consume_fault_flag): a
+    # flag file at the index root crashes exactly one merge task's worker
+    consume_fault_flag(storage.join(index_dir, ".fault_crash_merger"))
 
     out_dir = storage.join(index_dir, new_name)
 
@@ -130,26 +138,11 @@ def _merge_shard(index_dir: str, seg_names: list, new_name: str, shard: int) -> 
     return stats
 
 
-class _ShardMerger:
-    """map_batches callable over shard-id batches."""
-
-    def __init__(self, index_dir: str, seg_names: list, new_name: str):
-        self.index_dir = index_dir
-        self.seg_names = seg_names
-        self.new_name = new_name
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rows = []
-        for shard in batch["shard"].to_pylist():
-            st = _merge_shard(self.index_dir, self.seg_names, self.new_name, int(shard))
-            rows.append({"shard": shard, **st})
-        return pa.Table.from_pylist(rows)
-
-
 def merge_segments(index_dir: str, victims: list, new_name: str) -> SegmentMeta:
-    """Merge victim segments (equal num_shards) into one new segment via
-    per-shard Ray tasks; returns the new SegmentMeta (not yet committed)."""
-    import ray.data
+    """Merge victim segments (equal num_shards) into one new segment, one
+    ``_merge_shard`` task per shard; returns the new SegmentMeta (not yet
+    committed)."""
+    import ray
 
     num_shards = victims[0].num_shards
     assert all(s.num_shards == num_shards for s in victims)
@@ -158,11 +151,8 @@ def merge_segments(index_dir: str, victims: list, new_name: str) -> SegmentMeta:
     storage.makedirs(storage.join(index_dir, new_name))
     names = [s.name for s in victims]
 
-    shards = ray.data.from_items([{"shard": i} for i in range(num_shards)])
-    merger = _ShardMerger(index_dir, names, new_name)
-    summary = shards.map_batches(
-        merger, batch_format="pyarrow", batch_size=1
-    ).to_pandas()
+    task = remote_task(_merge_shard)
+    summary = ray.get([task.remote(index_dir, names, new_name, k) for k in range(num_shards)])
 
     parts = sorted((p for s in victims for p in s.partitions), key=lambda p: p.base)
     field_lengths: dict = {}
@@ -187,8 +177,8 @@ def merge_segments(index_dir: str, victims: list, new_name: str) -> SegmentMeta:
         num_shards=num_shards,
         partitions=parts,
         field_lengths=field_lengths,
-        n_terms=int(summary["n_terms"].sum()),
-        n_postings=int(summary["n_postings"].sum()),
+        n_terms=sum(st["n_terms"] for st in summary),
+        n_postings=sum(st["n_postings"] for st in summary),
         salted_terms=salted,
     )
 

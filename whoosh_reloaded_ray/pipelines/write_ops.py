@@ -20,6 +20,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from .._rayutil import remote_task
 from ..query import ast
 from ..state.manifest import Manifest, commit_manifest, load_manifest
 from ..state.searcher import IndexSearcher
@@ -128,10 +129,11 @@ def append_documents(
 
 
 def _partition_key_matches(part, unique_fields, incoming) -> np.ndarray:
-    """Inside one Ray task: read ONLY the key columns of one source
-    partition, hash-match against the broadcast incoming keys (vectorized
-    composite hash), exact-verify the (small) candidate set against the
-    incoming key tuples, and return the matching docnums."""
+    """Inside one Ray task (``_rayutil.remote_task``): read ONLY the key
+    columns of one source partition, hash-match against the broadcast
+    incoming keys (vectorized composite hash), exact-verify the (small)
+    candidate set against the incoming key tuples, and return the matching
+    docnums."""
     from ..functions.partition import composite_key_hash
     from ..sources.corpus import read_partition
 
@@ -188,7 +190,7 @@ def update_documents(
                 "table": incoming,
             }
         )
-        task = ray.remote(num_cpus=1)(_partition_key_matches)
+        task = remote_task(_partition_key_matches)
         futs = [
             task.remote(p, tuple(unique_fields), payload_ref)
             for seg in manifest.segments

@@ -15,12 +15,15 @@ Weight semantics (parity-critical): BM25's "tf" is the summed token boost
 per (doc, term) — 1.0 per occurrence without boosts — and positions are
 post-stop-filter, renumbered (reference formats.py:190-236).
 
-``shard = crc32(field:term) % num_shards`` is the exchange key (stable across
-processes, unlike Python's ``hash``); sentinel rows shard by docnum so doc
-lengths spread evenly. Hot-term skew: a single term's postings land in one
-shard, but a shard holds ~|vocab|/R terms so the skew is bounded by the
-hottest term's posting count; see stages/segment_write.py for the block
-layout that keeps even a giant posting list streamable.
+``shard`` is the exchange key, set in one place (``Tokenizer._route``) from
+each posting's (field, term, docnum) after the analysis path that emitted
+it: ``crc32(field:term) % num_shards`` (stable across processes, unlike
+Python's ``hash``); sentinel rows shard by docnum so doc lengths spread
+evenly; a salted hot term shards by docnum range (``_salted_shard_of``).
+The analysis paths know nothing of shards.  Hot-term skew: a single term's
+postings land in one shard, but a shard holds ~|vocab|/R terms so the skew
+is bounded by the hottest term's posting count; see stages/segment_write.py
+for the block layout that keeps even a giant posting list streamable.
 """
 
 from __future__ import annotations
@@ -285,27 +288,6 @@ class Tokenizer:
         g_code = c_f[order][gstart] if ks.size else np.empty(0, np.int64)
         g_doc = docnums[g_row]
 
-        # shard per unique term (salted hot terms shard by docnum range)
-        R = self.num_shards
-        u_list = uniques.to_pylist()
-        u_shard = np.fromiter(
-            (_shard_of(fname, t, R) for t in u_list), dtype=np.int32, count=nu
-        )
-        shard = u_shard[g_code] if ks.size else np.empty(0, np.int32)
-        if self.salted:
-            doc_lo, doc_n = self.doc_range
-            u_index = {t: i for i, t in enumerate(u_list)}
-            for (f, t), n_salts in self.salted.items():
-                if f != fname or t not in u_index:
-                    continue
-                m = g_code == u_index[t]
-                salt = (g_doc[m] - doc_lo) * n_salts // max(doc_n, 1)
-                shard[m] = np.fromiter(
-                    (_salted_shard_of(fname, t, int(s), R) for s in salt),
-                    dtype=np.int32,
-                    count=int(m.sum()),
-                )
-
         lb_rows = lengths_to_bytes(survivors_per_row) if scorable else np.zeros(len(texts), np.uint8)
         g_lb = lb_rows[g_row]
 
@@ -332,9 +314,8 @@ class Tokenizer:
             pos_col = pa.nulls(len(gstart), pa.binary())
 
         out["field"].append(pa.array(np.full(len(gstart), fname, dtype=object), pa.string()))
-        out["term"].append(
-            uniques.take(pa.array(g_code, pa.int64())) if ks.size else pa.array([], pa.string())
-        )
+        # dictionary-encoded, so _route hashes each distinct term once
+        out["term"].append(pa.DictionaryArray.from_arrays(pa.array(g_code, pa.int64()), uniques))
         out["docnum"].append(pa.array(g_doc.astype(np.uint64), pa.uint64()))
         w = np.ones_like(gcount, dtype=np.float64) if unit_weight else gcount * boost
         rb = self._row_boosts(fname, batch)
@@ -346,7 +327,6 @@ class Tokenizer:
         out["boosts"].append(pa.nulls(len(gstart), pa.binary()))
         out["payload"].append(pa.nulls(len(gstart), pa.binary()))
         out["len_byte"].append(pa.array(g_lb, pa.uint8()))
-        out["shard"].append(pa.array(shard, pa.int32()))
 
         if scorable:
             # sentinel doc-length rows for every non-null row
@@ -361,7 +341,6 @@ class Tokenizer:
             out["boosts"].append(pa.nulls(v.size, pa.binary()))
             out["payload"].append(pa.nulls(v.size, pa.binary()))
             out["len_byte"].append(pa.array(lb_rows[v], pa.uint8()))
-            out["shard"].append(pa.array((docnums[v] % R).astype(np.int32), pa.int32()))
 
     def _vector_id_field(self, fname, aspec, keep_pos, boost, batch, docnums, out):
         """Vectorized IDTokenizer: whole value = one token at pos 1
@@ -375,38 +354,8 @@ class Tokenizer:
             arr = pc.utf8_lower(arr)
         ok = pc.and_(pc.is_valid(arr), pc.not_equal(arr, "")).to_numpy(zero_copy_only=False)
         idx = np.flatnonzero(ok)
-        terms = arr.take(pa.array(idx, pa.int64()))
-        R = self.num_shards
-        # shard per UNIQUE value (id columns are low-cardinality: conv ids,
-        # roles, tools — one crc per distinct value, not per row)
-        denc = pc.dictionary_encode(terms)
-        u_shard = np.fromiter(
-            (_shard_of(fname, t, R) for t in denc.dictionary.to_pylist()),
-            dtype=np.int32,
-            count=len(denc.dictionary),
-        )
-        codes = denc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        shard = u_shard[codes] if len(idx) else np.empty(0, np.int32)
-        if self.salted and len(idx):
-            # id values (roles, tools) are exactly the hottest terms — apply
-            # the same docnum-range salt routing as _vector_field, else the
-            # manifest records the term as salted while its postings sit in
-            # the base shard and _shards_for never finds them
-            doc_lo, doc_n = self.doc_range
-            u_index = {t: i for i, t in enumerate(denc.dictionary.to_pylist())}
-            g_doc = docnums[idx]
-            for (f, t), n_salts in self.salted.items():
-                if f != fname or t not in u_index:
-                    continue
-                m = codes == u_index[t]
-                salt = (g_doc[m].astype(np.int64) - doc_lo) * n_salts // max(doc_n, 1)
-                shard[m] = np.fromiter(
-                    (_salted_shard_of(fname, t, int(s), R) for s in salt),
-                    dtype=np.int32,
-                    count=int(m.sum()),
-                )
         out["field"].append(pa.array(np.full(idx.size, fname, dtype=object), pa.string()))
-        out["term"].append(terms)
+        out["term"].append(arr.take(pa.array(idx, pa.int64())))
         out["docnum"].append(pa.array(docnums[idx].astype(np.uint64), pa.uint64()))
         w_id = np.full(idx.size, boost, dtype=np.float64)
         rb = self._row_boosts(fname, batch)
@@ -424,21 +373,15 @@ class Tokenizer:
         out["boosts"].append(pa.nulls(idx.size, pa.binary()))
         out["payload"].append(pa.nulls(idx.size, pa.binary()))
         out["len_byte"].append(pa.array(np.zeros(idx.size, dtype=np.uint8), pa.uint8()))
-        out["shard"].append(pa.array(shard, pa.int32()))
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         docnums = batch["docnum"].to_numpy(zero_copy_only=False)
-        out = {
-            k: []
-            for k in (
-                "field", "term", "docnum", "weight", "positions", "chars",
-                "boosts", "payload", "len_byte", "shard",
-            )
-        }
+        out = {k: [] for k in POSTING_SCHEMA.names}
         for i, spec_tuple in enumerate(self.specs):
             fname, aspec, scorable, keep_pos, boost = spec_tuple
             if fname not in batch.column_names:
                 continue
+            first = len(out["term"])
             if fname in self.custom_formats:
                 # custom Format codec: arbitrary Python encode -> loop path
                 self._loop_field(self.analyzers[i], batch, docnums, out)
@@ -461,9 +404,11 @@ class Tokenizer:
                 self._vector_id_field(fname, aspec, keep_pos, boost, batch, docnums, out)
             else:
                 self._loop_field(self.analyzers[i], batch, docnums, out)
+            self._route(fname, out, first)
         for spell_name, src, aspec in self.spell_specs:
             if src not in batch.column_names:
                 continue
+            first = len(out["term"])
             shim = pa.table({spell_name: batch[src]})
             self._vector_field(
                 spell_name,
@@ -473,6 +418,7 @@ class Tokenizer:
                 out,
                 unit_weight=True,
             )
+            self._route(spell_name, out, first)
         cols = []
         for name in POSTING_SCHEMA.names:
             chunks = out[name]
@@ -481,6 +427,57 @@ class Tokenizer:
             else:
                 cols.append(pa.array([], type=POSTING_SCHEMA.field(name).type))
         return pa.Table.from_arrays(cols, schema=POSTING_SCHEMA)
+
+    def _route(self, fname, out, first):
+        """Set ``shard``, the exchange key, for the postings one field's run
+        appended to ``out`` (its chunks from ``first`` on); the write-side
+        statement of the rule ``SegmentReader._shards_for`` reads back:
+
+        * a term goes to ``_shard_of(field, term)``, one crc32 per distinct
+          term of the chunk;
+        * a sentinel doc-length row goes to ``docnum % num_shards``, so doc
+          lengths spread evenly;
+        * a salted hot term goes to ``_salted_shard_of(field, term, salt)``,
+          ``salt`` being the posting's docnum range within ``doc_range``.
+
+        A term chunk may come dictionary-encoded; it is decoded here."""
+        R = self.num_shards
+        doc_lo, doc_n = self.doc_range
+        salted = {t: n for (f, t), n in self.salted.items() if f == fname}
+        prefix = zlib.crc32(f"{fname}:".encode("utf-8"))
+        for k in range(first, len(out["term"])):
+            terms = out["term"][k]
+            if pa.types.is_dictionary(terms.type):
+                out["term"][k] = terms.dictionary.take(terms.indices)
+            else:
+                terms = pc.dictionary_encode(terms)
+            uniques = terms.dictionary
+            codes = terms.indices.to_numpy(zero_copy_only=False)
+            # _shard_of per distinct term, its crc32 continued from the
+            # field prefix's (equal, without a string join per term);
+            # to_numpy, as to_pylist takes several times as long
+            shard = np.array(
+                [
+                    zlib.crc32(t.encode("utf-8"), prefix) % R
+                    for t in uniques.to_numpy(zero_copy_only=False)
+                ],
+                dtype=np.int32,
+            )[codes]
+            docs = out["docnum"][k].to_numpy(zero_copy_only=False).astype(np.int64)
+            for t in (LEN_SENTINEL, *salted):
+                code = pc.index(uniques, t).as_py()
+                if code < 0:
+                    continue
+                m = codes == code
+                if t == LEN_SENTINEL:
+                    shard[m] = docs[m] % R
+                    continue
+                salt = (docs[m] - doc_lo) * salted[t] // max(doc_n, 1)
+                salts, inv = np.unique(salt, return_inverse=True)
+                shard[m] = np.array(
+                    [_salted_shard_of(fname, t, int(s), R) for s in salts], np.int32
+                )[inv]
+            out["shard"].append(pa.array(shard, pa.int32()))
 
     def _span_tokens(self, fname, aspec):
         """text -> [(term, position, startchar, endchar, boost)] for a
@@ -560,14 +557,9 @@ class Tokenizer:
         _, aspec, scorable, keep_pos, boost = spec_tuple
         tokens = self._span_tokens(fname, aspec)
         want_boosts = fname in self.boosts_fields
-        R = self.num_shards
-        salted = self.salted
-        doc_lo, doc_n = self.doc_range
 
         fields_out, terms_out, docs_out = [], [], []
-        weights_out, pos_out, chars_out, boosts_out, lens_out, shard_out = (
-            [], [], [], [], [], []
-        )
+        weights_out, pos_out, chars_out, boosts_out, lens_out = [], [], [], [], []
         rb = self._row_boosts(fname, batch)
         for i, text in enumerate(batch[fname].to_pylist()):
             if text is None:
@@ -613,12 +605,6 @@ class Tokenizer:
                 chars_out.append(encode_varints(cstream))
                 boosts_out.append(self._encode_boosts(tboosts) if want_boosts else None)
                 lens_out.append(lb)
-                n_salts = salted.get((fname, term))
-                if n_salts:
-                    salt = (docnum - doc_lo) * n_salts // max(doc_n, 1)
-                    shard_out.append(_salted_shard_of(fname, term, salt, R))
-                else:
-                    shard_out.append(_shard_of(fname, term, R))
             if scorable:
                 fields_out.append(fname)
                 terms_out.append(LEN_SENTINEL)
@@ -628,7 +614,6 @@ class Tokenizer:
                 chars_out.append(None)
                 boosts_out.append(None)
                 lens_out.append(lb)
-                shard_out.append(docnum % R)
 
         out["field"].append(pa.array(fields_out, type=pa.string()))
         out["term"].append(pa.array(terms_out, type=pa.string()))
@@ -639,16 +624,12 @@ class Tokenizer:
         out["boosts"].append(pa.array(boosts_out, type=pa.binary()))
         out["payload"].append(pa.nulls(len(fields_out), pa.binary()))
         out["len_byte"].append(pa.array(lens_out, type=pa.uint8()))
-        out["shard"].append(pa.array(shard_out, type=pa.int32()))
 
     def _loop_field(self, analyzer_tuple, batch, docnums, out):
         """Row-at-a-time fallback for stateful/exotic analyzers (stemming,
         ngram, id, keyword)."""
-        R = self.num_shards
-        salted = self.salted
-        doc_lo, doc_n = self.doc_range
         fields_out, terms_out, docs_out = [], [], []
-        weights_out, pos_out, boosts_out, lens_out, shard_out = [], [], [], [], []
+        weights_out, pos_out, boosts_out, lens_out = [], [], [], []
         payload_out: list = []
 
         for fname, analyze, scorable, keep_pos, boost in [analyzer_tuple]:
@@ -722,12 +703,6 @@ class Tokenizer:
                         self._encode_boosts(tboosts) if want_boosts else None
                     )
                     lens_out.append(lb)
-                    n_salts = salted.get((fname, term))
-                    if n_salts:
-                        salt = (docnum - doc_lo) * n_salts // max(doc_n, 1)
-                        shard_out.append(_salted_shard_of(fname, term, salt, R))
-                    else:
-                        shard_out.append(_shard_of(fname, term, R))
                 if scorable:
                     # sentinel doc-length row
                     fields_out.append(fname)
@@ -738,7 +713,6 @@ class Tokenizer:
                     boosts_out.append(None)
                     payload_out.append(None)
                     lens_out.append(lb)
-                    shard_out.append(docnum % R)
 
         out["field"].append(pa.array(fields_out, type=pa.string()))
         out["term"].append(pa.array(terms_out, type=pa.string()))
@@ -749,4 +723,3 @@ class Tokenizer:
         out["boosts"].append(pa.array(boosts_out, type=pa.binary()))
         out["payload"].append(pa.array(payload_out, type=pa.binary()))
         out["len_byte"].append(pa.array(lens_out, type=pa.uint8()))
-        out["shard"].append(pa.array(shard_out, type=pa.int32()))
