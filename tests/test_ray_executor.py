@@ -136,6 +136,26 @@ def test_each_search_is_one_fanout(idx_dir):
         _kill(rays)
 
 
+def test_fanout_first_ms_is_the_first_fanout(idx_dir):
+    """``FanoutStats.first_ms`` keeps the wall time of a searcher's first
+    fan-out, which on the ray executor waits for the new actors, apart from
+    the later ones."""
+    rays = IndexSearcher(idx_dir, executor="ray", num_actors=2)
+    try:
+        t = _vocab(idx_dir)[4]
+        for s in (IndexSearcher(idx_dir), rays):
+            assert s.fanout.first_ms is None
+            s.search(Term("text", t), limit=10)
+            first = s.fanout.first_ms
+            assert first is not None and first == pytest.approx(s.fanout.ms)
+            s.search(Term("text", t), limit=10)
+            assert s.fanout.first_ms == first and s.fanout.ms > first
+        # the first round trip starts two actor processes; a warm one does not
+        assert rays.fanout.first_ms > rays.fanout.ms - rays.fanout.first_ms
+    finally:
+        _kill(rays)
+
+
 def _driver_side_answers(s, vocab) -> list:
     """What moved from the actors to the driver: multiterm expansion
     (searched) and the term statistics APIs."""

@@ -18,6 +18,7 @@ vectorized per segment.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 import re
 import threading
@@ -268,37 +269,36 @@ def _decode_posting_columns(t: pa.Table):
 
     Blocks are self-contained (first docnum absolute, per-block wflag), so
     this works on ANY subset of a term's blocks in doc order."""
-    counts = t["count"].to_numpy()
+    counts = storage.as_numpy(t["count"])
     n = int(counts.sum())
     block_starts = np.zeros(len(counts), dtype=np.int64)
     np.cumsum(counts[:-1], out=block_starts[1:])
 
     # docnums: concat varint streams decode in one pass, then segmented
     # cumsum with reset at block starts (first value per block absolute)
-    doc_blob = b"".join(t["docs"].to_pylist())
-    deltas = decode_varints(doc_blob, count=n)
+    deltas = decode_varints(storage.binary_values(t["docs"]), count=n)
     csum = np.cumsum(deltas, dtype=np.uint64)
     base = np.zeros(len(counts), dtype=np.uint64)
     base[1:] = csum[block_starts[1:] - 1]
     docs = csum - np.repeat(base, counts)
 
     # weights: wflag is per block (merged segments can mix encodings)
-    wflags = t["wflag"].to_numpy()
-    w_blobs = t["weights"].to_pylist()
+    wflags = storage.as_numpy(t["wflag"])
     if (wflags == WEIGHTS_VARINT).all():
-        weights = decode_varints(b"".join(w_blobs), count=n).astype(np.float64)
+        weights = decode_varints(storage.binary_values(t["weights"]), count=n).astype(np.float64)
     elif (wflags == WEIGHTS_FLOAT32).all():
-        weights = np.frombuffer(b"".join(w_blobs), dtype="<f4").astype(np.float64)
+        weights = np.frombuffer(storage.binary_values(t["weights"]), dtype="<f4").astype(np.float64)
     else:
         weights = np.empty(n, dtype=np.float64)
-        for b, blob in enumerate(w_blobs):
+        for b, blob in enumerate(storage.string_list(t["weights"])):
             s, c = int(block_starts[b]), int(counts[b])
             if wflags[b] == WEIGHTS_VARINT:
                 weights[s : s + c] = decode_varints(blob, count=c)
             else:
                 weights[s : s + c] = np.frombuffer(blob, dtype="<f4")
 
-    lens = np.frombuffer(b"".join(t["lens"].to_pylist()), dtype=np.uint8)
+    # a copy: a cached posting list must not pin its row group's buffers
+    lens = storage.binary_values(t["lens"]).copy()
     return docs, weights, lens, block_starts, counts
 
 
@@ -334,16 +334,37 @@ class _LRU:
                 self.used -= self._d.popitem(last=False)[1][1]
 
 
+class _RowGroup:
+    """One row group of a shard file as read: its table, each field's row
+    span ``{field: (first row, end row)}``, the term keys (a list of str,
+    None for doclens), and numpy views of its columns, each made on first
+    use (``col``) through ``storage.as_numpy``."""
+
+    __slots__ = ("table", "spans", "terms", "_cols")
+
+    def __init__(self, table: pa.Table, spans: dict, terms):
+        self.table, self.spans, self.terms = table, spans, terms
+        self._cols: dict = {}
+
+    def col(self, name: str) -> np.ndarray:
+        a = self._cols.get(name)
+        if a is None:
+            a = self._cols[name] = storage.as_numpy(self.table[name])
+        return a
+
+
 class SegmentReader:
     """Reads one segment's terminfo/postings/doclens (cached).
 
     Each (shard file, row group) is read once, on first touch, and every
-    later lookup is a binary search of its sorted ``(field, term)`` key
-    columns that returns a zero-copy slice (``_rows``), as whoosh keeps a
-    segment's files mapped and decodes term extents lazily.  A one-row-group
-    shard file (the usual size) is read whole; a larger one reads only the
-    row groups whose footer statistics may hold the term.  Nothing is read
-    at open.
+    later lookup is a binary search of its sorted term keys that returns a
+    run of rows (``_runs``): numpy views of the row group's columns, or a
+    zero-copy table slice (``_rows``), as whoosh keeps a segment's files
+    mapped and decodes term extents lazily.  A one-row-group shard file
+    (the usual size) is read whole; a larger one reads only the row groups
+    whose footer statistics may hold the term.  Nothing is read at open.
+    Arrow data becomes numpy only through ``storage``'s converters, so no
+    query imports pandas.
 
     A searcher takes its readers from a process-wide registry
     (``state.searcher.shared_reader``), so each row group is read once per
@@ -363,7 +384,7 @@ class SegmentReader:
         # path -> (footer, per-row-group key bounds), None for a shard
         # file the segment does not have
         self._footers: dict = {}
-        # (path, row group) -> (table, field row spans, term keys)
+        # (path, row group) -> _RowGroup
         self._row_groups = _LRU(64 << 20)
         self._all_docnums: "np.ndarray | None" = None
         # constant-score docsets (range / expanded-multiterm unions) are
@@ -458,11 +479,11 @@ class SegmentReader:
         self._footers[path] = md, bounds
         return md, bounds
 
-    def _row_group(self, path: str, md, i: int):
-        """(table, {field: (first row, end row)}, term keys) of row group
-        ``i`` of ``path``, read on first touch.  The last two are None for
-        a file that is not sorted by (field, term): doclens, sorted by
-        docnum."""
+    def _row_group(self, path: str, md, i: int) -> _RowGroup:
+        """Row group ``i`` of ``path``, read on first touch.  Its rows are
+        one run per field, in field order: terminfo and postings files are
+        sorted by (field, term), and a doclens file, sorted by docnum, is
+        regrouped by field here (each field's rows keep docnum order)."""
         hit = self._row_groups.get((path, i))
         if hit is None:
             try:
@@ -470,27 +491,29 @@ class SegmentReader:
             except FileNotFoundError:
                 self._check_segment_exists()
                 raise
-            spans = terms = None
+            terms = None
+            if "term" not in t.column_names:  # a stable sort keeps docnum order
+                t = t.take(pc.sort_indices(t, sort_keys=[("field", "ascending")]))
+            runs = sorted((r["values"], r["counts"]) for r in pc.value_counts(t["field"]).to_pylist())
+            ends = np.cumsum([n for _, n in runs])
+            spans = {f: (int(e - n), int(e)) for (f, n), e in zip(runs, ends)}
             nbytes = t.nbytes
             if "term" in t.column_names:
-                # each field's rows are one run, the runs in field order
-                runs = sorted((r["values"], r["counts"]) for r in pc.value_counts(t["field"]).to_pylist())
-                ends = np.cumsum([n for _, n in runs])
-                spans = {f: (int(e - n), int(e)) for (f, n), e in zip(runs, ends)}
-                terms = t["term"].to_numpy(zero_copy_only=False)
-                # each key is a str object: 49-byte header, its text, a slot
-                nbytes += t["term"].nbytes + 57 * terms.size
-            hit = (t, spans, terms)
+                terms = storage.string_list(t["term"])
+                # per key a list slot and a str header (8 + 49 bytes) beside
+                # its text, which the column's bytes stand in for
+                nbytes += t["term"].nbytes + 57 * len(terms)
+            hit = _RowGroup(t, spans, terms)
             self._row_groups.put((path, i), hit, nbytes)
         return hit
 
-    def _rows(
+    def _runs(
         self, template: str, shard: int, field: str, start=None, end=None,
         startexcl=False, endexcl=False,
     ) -> list:
-        """Rows of ``field`` in one shard file, with start <= term <= end
-        when given (either end exclusive), as zero-copy slices of its
-        cached row groups.  Row groups are chosen from the footer
+        """``(row group, first row, end row)`` of each run of ``field``'s
+        rows in one shard file, with start <= term <= end when given
+        (either end exclusive).  Row groups are chosen from the footer
         statistics, as a parquet filter on (field, term) chooses them."""
         path = storage.join(self.dir, template.format(shard=shard))
         footer = self._footer(path)
@@ -505,17 +528,21 @@ class SegmentReader:
                 (start is not None and start > tmax) or (end is not None and end < tmin)
             ):
                 continue
-            t, spans, terms = self._row_group(path, md, i)
-            if terms is None:
-                out.append(t.filter(pc.equal(t["field"], field)))
-                continue
-            base, stop = spans.get(field, (0, 0))
-            ts = terms[base:stop]
-            lo = 0 if start is None else int(ts.searchsorted(start, "right" if startexcl else "left"))
-            hi = ts.size if end is None else int(ts.searchsorted(end, "left" if endexcl else "right"))
+            rg = self._row_group(path, md, i)
+            lo, hi = rg.spans.get(field, (0, 0))
+            if rg.terms is not None:
+                base, stop = lo, hi
+                if start is not None:
+                    lo = (bisect_right if startexcl else bisect_left)(rg.terms, start, base, stop)
+                if end is not None:
+                    hi = (bisect_left if endexcl else bisect_right)(rg.terms, end, base, stop)
             if hi > lo:
-                out.append(t.slice(base + lo, hi - lo))
+                out.append((rg, lo, hi))
         return out
+
+    def _rows(self, *args, **kw) -> list:
+        """``_runs`` as zero-copy slices of the row group tables."""
+        return [rg.table.slice(lo, hi - lo) for rg, lo, hi in self._runs(*args, **kw)]
 
     # ---- terminfo ---------------------------------------------------------
 
@@ -553,9 +580,10 @@ class SegmentReader:
         bounds = (prefix, prefix + "\uffff") if prefix else (None, None)
         out: dict = {}
         for shard in range(self.seg.num_shards):
-            for t in self._rows(TERMINFO_FILE, shard, field, *bounds, endexcl=True):
+            for rg, lo, hi in self._runs(TERMINFO_FILE, shard, field, *bounds, endexcl=True):
                 for term, w, df in zip(
-                    t["term"].to_pylist(), t["weight_sum"].to_pylist(), t["doc_freq"].to_pylist()
+                    rg.terms[lo:hi], rg.col("weight_sum")[lo:hi].tolist(),
+                    rg.col("doc_freq")[lo:hi].tolist(),
                 ):
                     ow, odf = out.get(term, (0.0, 0))  # salted terms span shards
                     out[term] = (ow + float(w), odf + int(df))
@@ -567,21 +595,21 @@ class SegmentReader:
         if key not in self._vocab_cache:
             terms = set()
             for shard in range(self.seg.num_shards):
-                for t in self._rows(TERMINFO_FILE, shard, field, start, end, startexcl, endexcl):
-                    terms.update(t["term"].to_pylist())
+                for rg, lo, hi in self._runs(TERMINFO_FILE, shard, field, start, end, startexcl, endexcl):
+                    terms.update(rg.terms[lo:hi])
             self._vocab_cache[key] = sorted(terms)
         return self._vocab_cache[key]
 
     # ---- postings ---------------------------------------------------------
 
-    def _read_blocks(self, field: str, term: str):
-        """Block rows of a term, doc-ordered across (possibly salted)
-        shards and row groups, or None.  A shard whose terminfo lacks the
-        term has no postings for it, so its postings file is not read; a
-        shard whose terminfo holds the term must have a postings file."""
-        parts = []
+    def _block_runs(self, field: str, term: str) -> list:
+        """``_runs`` of a term's block rows across its (possibly salted)
+        shards and row groups.  A shard whose terminfo lacks the term has
+        no postings for it, so its postings file is not read; a shard
+        whose terminfo holds the term must have a postings file."""
+        runs = []
         for shard in self._shards_for(field, term):
-            if not self._rows(TERMINFO_FILE, shard, field, term, term):
+            if not self._runs(TERMINFO_FILE, shard, field, term, term):
                 continue
             path = storage.join(self.dir, POSTINGS_FILE.format(shard=shard))
             if self._footer(path) is None:
@@ -589,7 +617,13 @@ class SegmentReader:
                     f"postings file {path} is missing, but its shard's terminfo "
                     f"holds {field}:{term!r}"
                 )
-            parts += self._rows(POSTINGS_FILE, shard, field, term, term)
+            runs += self._runs(POSTINGS_FILE, shard, field, term, term)
+        return runs
+
+    def _read_blocks(self, field: str, term: str):
+        """Block rows of a term as one table, doc-ordered across shards and
+        row groups, or None."""
+        parts = [rg.table.slice(lo, hi - lo) for rg, lo, hi in self._block_runs(field, term)]
         if len(parts) <= 1:
             return parts[0] if parts else None
         # salted sub-shards hold disjoint docnum ranges and blocks are
@@ -606,11 +640,17 @@ class SegmentReader:
         block rows in the cached postings row group, the analogue of the
         reference's block headers; a postings file larger than one row
         group is read only in the row groups that may hold the term."""
-        t = self._read_blocks(field, term)
-        if t is None:
+        runs = self._block_runs(field, term)
+        if not runs:
             return None
         bounds = ("doc_min", "doc_max", "count", "max_weight", "min_len_byte")
-        return {c: t[c].to_numpy() for c in bounds}
+        if len(runs) == 1:
+            rg, lo, hi = runs[0]
+            return {c: rg.col(c)[lo:hi] for c in bounds}
+        # the doc order _read_blocks gives the postings (a stable sort)
+        meta = {c: np.concatenate([rg.col(c)[lo:hi] for rg, lo, hi in runs]) for c in bounds}
+        order = np.argsort(meta["doc_min"], kind="stable")
+        return {c: v[order] for c, v in meta.items()}
 
     def decode_blocks(self, field: str, term: str, keep: np.ndarray):
         """Postings of the selected blocks -> (docs, weights, len_bytes).
@@ -646,7 +686,7 @@ class SegmentReader:
         if t is None:
             return None
         def blobs(col, need):
-            return t[col].to_pylist() if need and col in t.column_names else None
+            return storage.string_list(t[col]) if need and col in t.column_names else None
 
         plist = PostingList(
             *_decode_posting_columns(t), blobs("positions", need_positions),
@@ -713,15 +753,15 @@ class SegmentReader:
             parts = []
             for p in sorted(self.seg.partitions, key=lambda p: p.base):
                 tbl = read_partition(p, columns=[field])
-                parts.append(tbl[field].to_numpy(zero_copy_only=False))
+                parts.append(storage.as_numpy(tbl[field]))
             arr = np.concatenate(parts)
             self._column_cache[field] = arr
         return arr
 
-    def _doclens_rows(self, field: str) -> list:
+    def _doclens_runs(self, field: str) -> list:
         return [
-            t for shard in range(self.seg.num_shards)
-            for t in self._rows(DOCLENS_FILE, shard, field)
+            run for shard in range(self.seg.num_shards)
+            for run in self._runs(DOCLENS_FILE, shard, field)
         ]
 
     def field_docs(self, field: str) -> np.ndarray:
@@ -735,20 +775,27 @@ class SegmentReader:
         cached = self._column_cache.get(key)
         if cached is not None:
             return cached
-        parts = [t for t in self._doclens_rows(field) if t.num_rows]
-        if parts:
+        runs = self._doclens_runs(field)
+        if runs:
             docs = np.sort(np.concatenate([
-                t.filter(pc.greater(t["length"], 0))["docnum"].to_numpy().astype(np.uint64)
-                for t in parts
+                rg.col("docnum")[lo:hi][rg.col("length")[lo:hi] > 0].astype(np.uint64)
+                for rg, lo, hi in runs
             ]))
         else:
             vals = self.column(field)
-            if vals.dtype.kind in ("O", "U", "S"):
-                mask = np.array([v is not None and v != "" for v in vals])
+            kind = vals.dtype.kind
+            if kind in ("O", "U", "S"):
+                # missing: None, "" or a float NaN (v != v)
+                mask = np.fromiter(
+                    (v is not None and v == v and v != "" for v in vals.tolist()),
+                    dtype=bool, count=vals.size,
+                )
+            elif kind in "fc":
+                mask = ~np.isnan(vals)
+            elif kind in "mM":
+                mask = ~np.isnat(vals)
             else:
-                import pandas as pd
-
-                mask = ~pd.isna(vals)
+                mask = np.ones(vals.size, dtype=bool)
             docs = self.all_docnums()[mask]
         self._column_cache[key] = docs
         return docs
@@ -759,9 +806,8 @@ class SegmentReader:
         arr = self._column_cache.get(key)
         if arr is None:
             arr = np.zeros(self.seg.doc_count, dtype=np.uint8)
-            for t in self._doclens_rows(field):
-                idx = t["docnum"].to_numpy() - self.seg.doc_base
-                arr[idx] = t["len_byte"].to_numpy()
+            for rg, lo, hi in self._doclens_runs(field):
+                arr[rg.col("docnum")[lo:hi] - self.seg.doc_base] = rg.col("len_byte")[lo:hi]
             self._column_cache[key] = arr
         return arr
 

@@ -143,8 +143,9 @@ def more_like(searcher, docnum: int, fieldname: str, limit: int = 10, numterms: 
     q = ast.Or([ast.Term(fieldname, t, boost=w) for t, w in kts])
     res = searcher.search(q, limit=(limit + 1) if limit is not None else None)
     import numpy as np
-    import pyarrow as pa
 
-    mask = res["docnum"].to_numpy() != np.uint64(docnum)
-    res = res.filter(pa.array(mask))
+    from ..state import storage
+
+    mask = storage.as_numpy(res["docnum"]) != np.uint64(docnum)
+    res = res.filter(storage.from_numpy(mask))
     return res.slice(0, limit) if limit is not None else res

@@ -25,6 +25,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from ..state import storage
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -79,7 +81,7 @@ def read_partition(part: Partition, columns=None) -> pa.Table:
     # ray.init(num_cpus=N) scaling legs)
     tbl = f.read_row_groups(list(part.row_groups), columns=columns, use_threads=False)
     docnums = np.arange(part.base, part.base + tbl.num_rows, dtype=np.uint64)
-    return tbl.append_column("docnum", pa.array(docnums, type=pa.uint64()))
+    return tbl.append_column("docnum", storage.from_numpy(docnums))
 
 
 @functools.lru_cache(maxsize=4096)

@@ -131,12 +131,10 @@ class Manifest:
 
         if not self.tombstones:
             return np.empty(0, dtype=np.uint64)
-        import pyarrow.parquet as pq
-
         from . import storage
 
         path = storage.join(index_dir, self.tombstones)
-        return storage.read_parquet(path)["docnum"].to_numpy().astype(np.uint64)
+        return storage.as_numpy(storage.read_parquet(path)["docnum"]).astype(np.uint64)
 
 
 def latest_generation(index_dir: str) -> int:

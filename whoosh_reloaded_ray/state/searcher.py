@@ -490,14 +490,19 @@ class FanoutStats:
     """A searcher's worker fan-outs so far (counters, not settings):
     ``calls`` (worker calls: one per actor per fan-out, one per fan-out on
     the local executor), ``msg_bytes`` (packed messages, once per fan-out;
-    0 on the local executor) and ``ms`` (round-trip wall time)."""
+    0 on the local executor), ``ms`` (round-trip wall time) and
+    ``first_ms`` (the first fan-out's wall time, None before it: on the
+    ray executor it includes the new actors' start and cold reads)."""
 
     calls: int = 0
     msg_bytes: int = 0
     ms: float = 0.0
+    first_ms: float | None = None
 
     def add(self, calls: int, msg_bytes: int, secs: float) -> None:
         with _FANOUT_LOCK:  # threads may share one searcher
+            if self.first_ms is None:
+                self.first_ms = secs * 1e3
             self.calls += calls
             self.msg_bytes += msg_bytes
             self.ms += secs * 1e3
@@ -1040,8 +1045,8 @@ class IndexSearcher:
         fan-out.  Scores are constant 1.0·boost (the reference forwards
         its already-advanced parent matcher's score — a cursor quirk we
         do not reproduce; see TODO.md)."""
-        parents = self.search(q.parents, limit=None, scored=False)["docnum"].to_numpy()
-        wanted = self.search(q.child, limit=None, scored=False)["docnum"].to_numpy()
+        parents = storage.as_numpy(self.search(q.parents, limit=None, scored=False)["docnum"])
+        wanted = storage.as_numpy(self.search(q.child, limit=None, scored=False)["docnum"])
         N = np.uint64(self.manifest.doc_count)
         if parents.size == 0 or wanted.size == 0:
             return ast.DocSet(np.empty(0, np.uint64), boost=q.boost)
@@ -1068,10 +1073,10 @@ class IndexSearcher:
         over the global parent comb.  Whole-index docnum arithmetic (blocks
         straddle segments) => searcher-level rewrite; the node then
         composes inside And/Or/collectors like any other."""
-        parents = self.search(q.parents, limit=None, scored=False)["docnum"].to_numpy()
+        parents = storage.as_numpy(self.search(q.parents, limit=None, scored=False)["docnum"])
         child_res = self.search(q.child, limit=None, scored=True)
-        docs = child_res["docnum"].to_numpy()
-        scores = child_res["score"].to_numpy()
+        docs = storage.as_numpy(child_res["docnum"])
+        scores = storage.as_numpy(child_res["score"])
         empty = (np.empty(0, np.uint64), np.empty(0, np.float64))
         if parents.size == 0 or docs.size == 0:
             return ast.ScoredDocSet(*empty, boost=q.boost)
@@ -1188,9 +1193,9 @@ class IndexSearcher:
         deadline = None if timelimit is None else time.time() + timelimit
         allowed = forbidden = None
         if filter is not None:
-            allowed = self.search(filter, limit=None, scored=False)["docnum"].to_numpy()
+            allowed = storage.as_numpy(self.search(filter, limit=None, scored=False)["docnum"])
         if mask is not None:
-            forbidden = self.search(mask, limit=None, scored=False)["docnum"].to_numpy()
+            forbidden = storage.as_numpy(self.search(mask, limit=None, scored=False)["docnum"])
         q = self._rewrite(q)
         ctx = self._context(q)
         parts = self._partials(
@@ -1219,8 +1224,8 @@ class IndexSearcher:
             order = order[:limit]
         return pa.table(
             {
-                "docnum": pa.array(docs[order], type=pa.uint64()),
-                "score": pa.array(scores[order], type=pa.float64()),
+                "docnum": storage.from_numpy(docs[order].astype(np.uint64, copy=False)),
+                "score": storage.from_numpy(scores[order].astype(np.float64, copy=False)),
             }
         )
 
@@ -1279,9 +1284,9 @@ class IndexSearcher:
         docs = np.concatenate([p["docnum"] for p in parts])
         cols = {f: np.concatenate([p[f] for p in parts]) for f in fieldlist}
         order = _sorted_order(docs, cols, fieldlist, flags, reverse, limit)
-        out = {"docnum": pa.array(docs[order], pa.uint64())}
+        out = {"docnum": storage.from_numpy(docs[order].astype(np.uint64, copy=False))}
         for f in fieldlist:
-            out[f] = pa.array(cols[f][order])
+            out[f] = storage.from_numpy(cols[f][order])
         return pa.table(out)
 
     def search_grouped(
@@ -1306,7 +1311,7 @@ class IndexSearcher:
         if limit is not None:
             # bounded: group the global top-limit docs
             res = self.search(q, limit=limit)
-            docs = res["docnum"].to_numpy()
+            docs = storage.as_numpy(res["docnum"])
             sorted_docs = np.sort(docs)
             cols = [self._doc_values(f, sorted_docs) for f in fieldlist]
             if len(fieldlist) == 1:
@@ -1440,8 +1445,8 @@ class IndexSearcher:
             order = order[:limit]
         return pa.table(
             {
-                "docnum": pa.array(sub_docs[order], pa.uint64()),
-                "score": pa.array(sub_scores[order], pa.float64()),
+                "docnum": storage.from_numpy(sub_docs[order].astype(np.uint64, copy=False)),
+                "score": storage.from_numpy(sub_scores[order].astype(np.float64, copy=False)),
             }
         )
 
@@ -1490,6 +1495,6 @@ class IndexSearcher:
         res = res.sort_by("docnum")
         joined = res.join(rows, keys="docnum") if rows is not None else res
         order = np.lexsort(
-            (joined["docnum"].to_numpy(), -joined["score"].to_numpy())
+            (storage.as_numpy(joined["docnum"]), -storage.as_numpy(joined["score"]))
         )
-        return joined.take(pa.array(order))
+        return joined.take(storage.from_numpy(order))

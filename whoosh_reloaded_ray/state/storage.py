@@ -16,9 +16,13 @@ relies on that.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import re
+
+import numpy as np
+import pyarrow as pa
 
 
 def is_uri(path: str) -> bool:
@@ -165,6 +169,210 @@ def read_parquet(path: str, row_groups=None, metadata=None):
         if row_groups is None:
             return pf.read()
         return pf.read_row_groups(row_groups)
+
+
+# ---- Arrow <-> numpy without pandas ------------------------------------
+#
+# pyarrow converts through its pandas layer: the first ``to_numpy()``,
+# ``pa.array(...)`` or ``pa.scalar(...)`` in a process imports pandas, about
+# 0.37 s, which a fresh segment actor would pay inside its first query.
+# The read path therefore converts only through the functions below, which
+# read the Arrow buffers directly and fall back to pyarrow only for types
+# they do not cover (tests/test_no_pandas.py holds query/ and state/ to it).
+
+@functools.lru_cache(maxsize=None)
+def _view_dtype(t):
+    """(numpy dtype of Arrow type ``t``'s fixed-width value buffer, dtype of
+    the converted values), or None when ``t`` is not fixed width."""
+    if pa.types.is_date32(t):
+        return np.dtype("i4"), np.dtype("datetime64[D]")
+    if pa.types.is_integer(t):
+        dt = np.dtype(f"{'i' if pa.types.is_signed_integer(t) else 'u'}{t.bit_width // 8}")
+    elif pa.types.is_floating(t):
+        dt = np.dtype(f"f{t.bit_width // 8}")
+    elif pa.types.is_timestamp(t):
+        dt = np.dtype(f"datetime64[{t.unit}]")  # tz-aware: UTC values, as pyarrow
+    elif pa.types.is_duration(t):
+        dt = np.dtype(f"timedelta64[{t.unit}]")
+    elif pa.types.is_date64(t):
+        dt = np.dtype("datetime64[ms]")
+    else:
+        return None
+    return dt, dt
+
+
+def _validity(a: pa.Array) -> np.ndarray:
+    bits = np.frombuffer(a.buffers()[0], np.uint8)
+    return np.unpackbits(bits, bitorder="little")[a.offset : a.offset + len(a)].view(bool)
+
+
+def _offsets(a: pa.Array) -> np.ndarray:
+    width = 8 if pa.types.is_large_string(a.type) or pa.types.is_large_binary(a.type) else 4
+    return np.frombuffer(a.buffers()[1], f"i{width}", len(a) + 1, a.offset * width)
+
+
+def _is_text(t) -> bool:
+    return (
+        pa.types.is_string(t) or pa.types.is_large_string(t)
+        or pa.types.is_binary(t) or pa.types.is_large_binary(t)
+    )
+
+
+def binary_values(col) -> np.ndarray:
+    """Every value of a string or binary column laid end to end, as one
+    uint8 array: ``b"".join(col.to_pylist())`` without a Python object per
+    value (a zero-copy view for a one-chunk column)."""
+    chunks = col.chunks if isinstance(col, pa.ChunkedArray) else [col]
+    parts = []
+    for a in chunks:
+        if not len(a):
+            continue
+        offs = _offsets(a)
+        data = a.buffers()[2]
+        parts.append(
+            np.frombuffer(data, np.uint8)[offs[0] : offs[-1]]
+            if data is not None else np.empty(0, np.uint8)
+        )
+    if len(parts) == 1:
+        parts[0].flags.writeable = False  # a view: Arrow data is immutable
+        return parts[0]
+    return np.concatenate(parts) if parts else np.empty(0, np.uint8)
+
+
+def _chunk_strings(a: pa.Array) -> list:
+    n = len(a)
+    if not n:
+        return []
+    offs = _offsets(a)
+    data = a.buffers()[2]
+    raw = np.frombuffer(data, np.uint8)[offs[0] : offs[-1]] if data is not None else np.empty(0, np.uint8)
+    rel = offs - offs[0]
+    text = pa.types.is_string(a.type) or pa.types.is_large_string(a.type)
+    out = None
+    if text:
+        # one decode and one str.split for the whole chunk: the values
+        # joined with NUL separators
+        joined = np.zeros(raw.size + n - 1, np.uint8)
+        keep = np.ones(joined.size, bool)
+        keep[rel[1:-1] + np.arange(n - 1)] = False
+        joined[keep] = raw
+        out = joined.tobytes().decode("utf-8").split("\x00")
+    if out is None or len(out) != n:  # binary, or a value holding a NUL
+        blob = raw.tobytes()
+        out = [blob[s:e] for s, e in zip(rel[:-1].tolist(), rel[1:].tolist())]
+        if text:
+            out = [v.decode("utf-8") for v in out]
+    if a.null_count:
+        for i in np.flatnonzero(~_validity(a)).tolist():
+            out[i] = None
+    return out
+
+
+def string_list(col) -> list:
+    """A string (or binary) column's values as a Python list of str (bytes),
+    None for nulls: ``col.to_pylist()`` at about the speed of pyarrow's own
+    object-array conversion, and without its pandas import."""
+    chunks = col.chunks if isinstance(col, pa.ChunkedArray) else [col]
+    if len(chunks) == 1:
+        return _chunk_strings(chunks[0])
+    return [v for a in chunks for v in _chunk_strings(a)]
+
+
+def _chunk_numpy(a: pa.Array) -> np.ndarray:
+    t = a.type
+    dts = _view_dtype(t)
+    if dts is not None:
+        dt, out_dt = dts
+        data = a.buffers()[1]
+        vals = (
+            np.frombuffer(data, dt, len(a), a.offset * dt.itemsize)
+            if data is not None else np.empty(0, dt)
+        )
+        if out_dt is not dt:
+            vals = vals.astype(out_dt)
+        if not a.null_count:
+            vals.flags.writeable = out_dt is not dt  # a view: Arrow data is immutable
+            return vals
+        # pyarrow's rules: integers with nulls become float64 with NaN,
+        # floats keep their width with NaN, temporals take NaT
+        kind = vals.dtype.kind
+        vals = vals.astype(np.float64 if kind in "iu" else vals.dtype)
+        vals[~_validity(a)] = np.nan if kind in "iuf" else np.array("NaT", vals.dtype)
+        return vals
+    if pa.types.is_boolean(t):
+        bits = np.frombuffer(a.buffers()[1], np.uint8)
+        vals = np.unpackbits(bits, bitorder="little")[a.offset : a.offset + len(a)].astype(bool)
+        if not a.null_count:
+            return vals
+        out = vals.astype(object)
+        out[~_validity(a)] = None
+        return out
+    if _is_text(t):
+        out = np.empty(len(a), dtype=object)
+        out[:] = _chunk_strings(a)
+        return out
+    return a.to_numpy(zero_copy_only=False)  # other types: pyarrow's own path
+
+
+def as_numpy(col) -> np.ndarray:
+    """``col.to_numpy(zero_copy_only=False)`` (same values, same dtype) for
+    an Arrow Array or ChunkedArray, read from its buffers.
+
+    A fixed-width, null-free one-chunk column is a zero-copy, read-only view
+    of its value buffer at the array's offset; strings and binaries become
+    object arrays (None for nulls); integers with nulls float64 with NaN;
+    booleans with nulls an object array.  Types other than numbers,
+    temporals, booleans, strings and binaries fall back to pyarrow."""
+    if isinstance(col, pa.ChunkedArray):
+        if col.num_chunks == 1:
+            return _chunk_numpy(col.chunk(0))
+        if col.num_chunks == 0:
+            dts = _view_dtype(col.type)
+            return np.empty(0, dts[1] if dts is not None else object)
+        return np.concatenate([_chunk_numpy(a) for a in col.chunks])
+    return _chunk_numpy(col)
+
+
+def _bitmap(valid: np.ndarray):
+    """(Arrow validity buffer, null count) of a bool mask; no buffer when
+    nothing is null."""
+    nulls = valid.size - int(np.count_nonzero(valid))
+    return (pa.py_buffer(np.packbits(valid, bitorder="little")) if nulls else None), nulls
+
+
+def from_numpy(values) -> pa.Array:
+    """``pa.array(values)`` for a 1-d numpy array, built from its buffer:
+    numbers (NaN kept), booleans, datetime64/timedelta64 in s/ms/us/ns (NaT
+    as null) and object arrays of str and None.  Other arrays fall back to
+    ``pa.array``."""
+    values = np.ascontiguousarray(values)
+    kind, n = values.dtype.kind, values.size
+    if kind in "iuf":
+        typ = pa.from_numpy_dtype(values.dtype)
+        return pa.Array.from_buffers(typ, n, [None, pa.py_buffer(values)])
+    if kind == "b":
+        bits = np.packbits(values, bitorder="little")
+        return pa.Array.from_buffers(pa.bool_(), n, [None, pa.py_buffer(bits)])
+    if kind in "mM" and np.datetime_data(values.dtype)[0] in ("s", "ms", "us", "ns"):
+        unit = np.datetime_data(values.dtype)[0]
+        typ = pa.timestamp(unit) if kind == "M" else pa.duration(unit)
+        bitmap, nulls = _bitmap(~np.isnat(values))
+        return pa.Array.from_buffers(
+            typ, n, [bitmap, pa.py_buffer(values.view(np.int64))], null_count=nulls
+        )
+    items = values.tolist() if kind == "O" else None
+    if items is not None and all(v is None for v in items):
+        return pa.nulls(n)  # pa.array's type for no values or only None
+    if items is not None and all(v is None or type(v) is str for v in items):
+        enc = [b"" if v is None else v.encode("utf-8") for v in items]
+        offs = np.zeros(n + 1, np.int32)
+        np.cumsum([len(v) for v in enc], out=offs[1:])
+        bitmap, nulls = _bitmap(np.fromiter((v is not None for v in items), bool, n))
+        return pa.Array.from_buffers(
+            pa.string(), n, [bitmap, pa.py_buffer(offs), pa.py_buffer(b"".join(enc))],
+            null_count=nulls,
+        )
+    return pa.array(values)
 
 
 def parquet_file(path: str, metadata=None):
