@@ -48,7 +48,7 @@ def _tree_hashes(idx_dir: str) -> dict:
     Manifests are hashed with the per-segment ``metrics`` block (wall-clock
     build_secs / rows_per_sec diagnostics — intrinsically timing-dependent)
     stripped; every logical field (doc counts, docnum bases, field sums,
-    salting, lineage) stays in the hash."""
+    lineage) stays in the hash."""
     import json
 
     out = {}

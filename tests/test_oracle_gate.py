@@ -15,11 +15,17 @@ executor and on a ray executor whose one actor holds every segment:
 
 Then a marker batch is appended, a term's documents are deleted, two
 segments merge, and both executors are reopened and checked again.
+
+A skewed corpus (one term in about half the turns, one conversation on
+about a fifth of the rows) checks that the hot term, whose postings sit in
+one shard of each segment, ranks as the oracle ranks it alone and in AND
+and OR queries.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
 import pyarrow.parquet as pq
 
 from perfbench.oracle import Oracle, check_ranked
@@ -128,3 +134,40 @@ def test_ranked_answers_match_oracle_before_and_after_writes(ray_session, tmp_pa
     queries.append(("term", marker, [marker]))
     queries.append(("or", f"{marker} OR {rare}", [marker, rare]))
     _check_both(idx, qp, oracle, queries, ndocs, deleted)
+
+
+def test_skewed_corpus_matches_oracle(ray_session, tmp_path):
+    from whoosh_reloaded_ray.pipelines.build import build_index
+
+    corpus, hot = str(tmp_path / "skew.parquet"), "hotspotx"
+    generate_transcripts(corpus, n_turns=TURNS, seed=11, rows_per_file=256)
+    t = pq.read_table(corpus)
+    rng = np.random.default_rng(5)
+    texts = [
+        f"{hot} {text}" if m else text
+        for text, m in zip(t["text"].to_pylist(), rng.random(t.num_rows) < 0.5)
+    ]
+    convs = [
+        "conv-fat" if m else c
+        for c, m in zip(t["conv_id"].to_pylist(), rng.random(t.num_rows) < 0.2)
+    ]
+    t = t.set_column(t.schema.get_field_index("text"), "text", pa.array(texts))
+    t = t.set_column(t.schema.get_field_index("conv_id"), "conv_id", pa.array(convs))
+    pq.write_table(t, corpus, row_group_size=256)
+    assert 0.15 < convs.count("conv-fat") / TURNS < 0.25
+    idx = str(tmp_path / "idx")
+    man = build_index([corpus], idx, num_shards=4, rows_per_segment=512, partition_rows=256)
+    assert len(man.segments) >= 3
+
+    stop = stopwords_of(texts)
+    oracle = Oracle(stop)
+    oracle.add(texts)
+    assert 0.4 < oracle.docs_with(hot, TURNS)[0].size / TURNS < 0.6
+    stream = QueryStream(texts, stop, [11, 1])
+    w1, w2 = [w for w in stream.words(3) if w != hot][:2]
+    queries = [
+        ("term", hot, [hot]),
+        ("and", f"{hot} AND {w1}", [hot, w1]),
+        ("or", f"{hot} OR {w2}", [hot, w2]),
+    ]
+    _check_both(idx, parser(), oracle, queries, TURNS, frozenset())

@@ -108,3 +108,32 @@ def test_resume_reuses_committed_partition_plan(corpus, ray_session, tmp_path_fa
     m2 = load_manifest(idx_dir)
     assert len(m2.segments) == n_segs
     assert m2.build_config == m1.build_config
+
+
+def test_manifest_of_a_salted_build_fails_loudly(corpus, ray_session, tmp_path):
+    """Manifests of builds that split hot terms over several shards carry a
+    non-empty ``salted_terms``; read with one shard per term they would miss
+    postings, so opening one raises.  An empty one, which every other
+    earlier manifest carries, opens."""
+    import json
+
+    idx_dir = str(tmp_path / "idx")
+    build_mod.build_index([corpus], idx_dir, num_shards=2, partition_rows=64)
+    (path,) = glob.glob(os.path.join(idx_dir, "manifest-*.json"))
+    with open(path) as f:
+        written = json.load(f)
+
+    def write(salted_terms):
+        for seg in written["segments"]:
+            seg["salted_terms"] = salted_terms
+        with open(path, "w") as f:
+            json.dump(written, f)
+
+    write({"text": {"x": 2}})
+    with pytest.raises(ValueError, match="seg-00000.*rebuild the index"):
+        load_manifest(idx_dir)
+    with pytest.raises(ValueError, match="rebuild the index"):
+        IndexSearcher(idx_dir)
+    write({})
+    assert load_manifest(idx_dir).doc_count == 64
+    assert IndexSearcher(idx_dir).search(Term("role", "user"), limit=None).num_rows > 0

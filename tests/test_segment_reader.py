@@ -134,21 +134,6 @@ def test_doclens_and_field_docs_match_a_parquet_filter(index, reads):
     assert len(reads) == SHARDS
 
 
-def test_salted_term_postings_equal_unsalted(corpus, ray_session, tmp_path, index):
-    plain = _reader(index)
-    hot = max(_text_terms(plain.dir, 0), key=lambda t: plain.doc_frequency("text", t))
-    salted_dir = str(tmp_path / "salted")
-    build_index([corpus], salted_dir, num_shards=SHARDS, partition_rows=500,
-                salted_terms={("text", hot): 3})
-    salted = _reader(salted_dir)
-    assert len(salted._shards_for("text", hot)) > 1
-    a, b = plain.postings("text", hot), salted.postings("text", hot)
-    np.testing.assert_array_equal(a.docs, b.docs)
-    np.testing.assert_array_equal(a.weights, b.weights)
-    assert salted.terminfo("text", hot) == plain.terminfo("text", hot)
-    assert salted.expand_terms("text") == plain.expand_terms("text")
-
-
 def test_file_uri_index_reads_the_same(corpus, ray_session, tmp_path, index):
     uri = "file://" + str(tmp_path / "viafs")
     build_index([corpus], uri, num_shards=SHARDS, partition_rows=500)
@@ -162,14 +147,21 @@ def test_file_uri_index_reads_the_same(corpus, ray_session, tmp_path, index):
     np.testing.assert_array_equal(via.doclens("text"), plain.doclens("text"))
 
 
+def _distinct_words(path: str, n_turns: int, prefix="a", extra=lambda i: "") -> list:
+    """A corpus of ``n_turns`` turns, turn i's text the distinct word
+    ``{prefix}{i:05d}`` followed by ``extra(i)``; returns the texts."""
+    generate_transcripts(path, n_turns=n_turns, avg_turn_words=2, seed=5, rows_per_file=n_turns)
+    t = pq.read_table(path)
+    texts = [f"{prefix}{i:05d} {extra(i)}".strip() for i in range(t.num_rows)]
+    pq.write_table(t.set_column(t.schema.get_field_index("text"), "text", pa.array(texts)), path)
+    return texts
+
+
 def test_large_shard_reads_only_row_groups_holding_the_term(ray_session, tmp_path, reads):
     # 9,000 turns of one distinct word each, one shard: the shard's
     # terminfo and postings files hold more than one 8,192-row row group
     path = str(tmp_path / "distinct.parquet")
-    generate_transcripts(path, n_turns=9_000, avg_turn_words=2, seed=5, rows_per_file=9_000)
-    t = pq.read_table(path)
-    words = pa.array([f"a{i:05d}" for i in range(t.num_rows)])
-    pq.write_table(t.set_column(t.schema.get_field_index("text"), "text", words), path)
+    _distinct_words(path, 9_000)
     d = str(tmp_path / "idx")
     build_index([path], d, num_shards=1, partition_rows=9_000)
     r = _reader(d)
@@ -189,6 +181,49 @@ def test_large_shard_reads_only_row_groups_holding_the_term(ray_session, tmp_pat
     assert r.postings("text", "a00001").docs.tolist() == [1]
     assert reads == []
     assert r.postings("text", "a08999").docs.tolist() == [8999]
+
+
+def test_term_across_row_groups_reads_in_doc_order(ray_session, tmp_path):
+    """A term's block rows that span two row groups of its shard's postings
+    file come back in doc order with no re-sort, in a fresh build and after
+    an optimize merge: the writer and the merge both sort block rows by
+    (field, term, doc_min).  With a text-only schema the hot term's block
+    rows follow the 8,151 words below it, across the first 8,192-row row
+    group's end."""
+    from whoosh_reloaded_ray.pipelines import merge, write_ops
+    from whoosh_reloaded_ray.schema import IndexSchema, text_field
+
+    hot = "a08150h"
+
+    def extra(i):
+        return hot if i % 3 else ""
+
+    path, batch = str(tmp_path / "distinct.parquet"), str(tmp_path / "batch.parquet")
+    texts = _distinct_words(path, 9_000, extra=extra)
+    d = str(tmp_path / "idx")
+    schema = IndexSchema(fields=[text_field("text")])
+    build_index([path], d, schema=schema, num_shards=1, partition_rows=9_000)
+
+    def check():
+        r = _reader(d)
+        pf = pq.ParquetFile(os.path.join(r.dir, "postings-0000.parquet"))
+        holding = [
+            i for i in range(pf.num_row_groups)
+            if hot in pf.read_row_group(i, columns=["term"])["term"].to_pylist()
+        ]
+        assert len(holding) == 2 and len(r._block_runs("text", hot)) == 2
+        doc_min = r.block_meta("text", hot)["doc_min"].astype(np.int64)
+        assert np.all(np.diff(doc_min) >= 0)
+        want = [doc for doc, text in enumerate(texts) if hot in text.split()]
+        assert r.postings("text", hot).docs.tolist() == want
+
+    check()
+    # the batch's own words sort above the hot term, so the merged file's
+    # row group boundary still falls inside the hot term's block rows
+    texts += _distinct_words(batch, 1_000, prefix="b", extra=extra)
+    write_ops.append_documents(d, [batch])
+    merge.maybe_merge(d, optimize=True)
+    check()
 
 
 def test_missing_postings_file_raises(index, tmp_path):

@@ -1,17 +1,14 @@
 """The exchange key: every posting row Tokenizer emits carries the shard that
-``SegmentReader._shards_for`` will look in.
+``SegmentReader`` will look in.
 
 Each analysis path (vectorized standard text, vectorized id, the chars
 loop, the analyzer loop for stemming fields, the custom-Format loop) is
-checked, with and without a salted hot term, against the rule stated
-row by row: a term goes to ``_shard_of(field, term)``, a sentinel
-doc-length row to ``docnum % num_shards``, and a salted term to
-``_salted_shard_of(field, term, salt)`` with ``salt`` its docnum range.
+checked against the rule stated row by row: a term goes to
+``_shard_of(field, term)``, its one shard, and a sentinel doc-length row
+to ``docnum % num_shards``.
 """
 
 from __future__ import annotations
-
-from collections import Counter
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -21,15 +18,10 @@ from whoosh_reloaded_ray import formats
 from whoosh_reloaded_ray.functions.analysis import stemming_analyzer
 from whoosh_reloaded_ray.schema import IndexSchema, id_field, text_field
 from whoosh_reloaded_ray.sources.corpus import generate_transcripts
-from whoosh_reloaded_ray.stages.tokenize import (
-    LEN_SENTINEL,
-    Tokenizer,
-    _salted_shard_of,
-    _shard_of,
-)
+from whoosh_reloaded_ray.stages.tokenize import LEN_SENTINEL, Tokenizer, _shard_of
 
 SHARDS = 8
-BASE = 1000  # first docnum of the batch's segment, so salts use an offset
+BASE = 1000  # first docnum of the batch's segment
 
 PATHS = {
     "standard": (text_field("text"), "_vector_field"),
@@ -53,23 +45,15 @@ def batch(tmp_path_factory):
     formats.unregister_format("routing_pb")
 
 
-def _expected(postings, salted):
-    want = []
-    for f, t, d in zip(*(postings[c].to_pylist() for c in ("field", "term", "docnum"))):
-        if t == LEN_SENTINEL:
-            want.append(d % SHARDS)
-        elif (f, t) in salted:
-            n_salts = salted[(f, t)]
-            salt = (d - BASE) * n_salts // 400
-            want.append(_salted_shard_of(f, t, salt, SHARDS))
-        else:
-            want.append(_shard_of(f, t, SHARDS))
-    return want
+def _expected(postings):
+    return [
+        d % SHARDS if t == LEN_SENTINEL else _shard_of(f, t, SHARDS)
+        for f, t, d in zip(*(postings[c].to_pylist() for c in ("field", "term", "docnum")))
+    ]
 
 
-@pytest.mark.parametrize("salt", [False, True], ids=["unsalted", "salted"])
 @pytest.mark.parametrize("path", sorted(PATHS))
-def test_shard_column_follows_the_routing_rule(batch, path, salt, monkeypatch):
+def test_shard_column_follows_the_routing_rule(batch, path, monkeypatch):
     spec, method = PATHS[path]
     calls = []
     real = getattr(Tokenizer, method)
@@ -80,29 +64,6 @@ def test_shard_column_follows_the_routing_rule(batch, path, salt, monkeypatch):
 
     monkeypatch.setattr(Tokenizer, method, spy)
     schema = IndexSchema(fields=[spec])
-    postings = Tokenizer(schema, num_shards=SHARDS, doc_range=(BASE, 400))(batch)
+    postings = Tokenizer(schema, num_shards=SHARDS)(batch)
     assert calls, f"{path} did not take {method}"
-
-    salted = {}
-    if salt:
-        # the two hottest terms of each emitted field, split 3 and 5 ways
-        fields = Counter(postings["field"].to_pylist())
-        for f in fields:
-            terms = Counter(
-                t for ff, t in zip(postings["field"].to_pylist(), postings["term"].to_pylist())
-                if ff == f and t != LEN_SENTINEL
-            )
-            for (t, _), n in zip(terms.most_common(2), (3, 5)):
-                salted[(f, t)] = n
-        postings = Tokenizer(
-            schema, num_shards=SHARDS, salted=salted, doc_range=(BASE, 400)
-        )(batch)
-
-    assert postings["shard"].to_pylist() == _expected(postings, salted)
-    if salt:
-        for f, t in salted:
-            rows = [
-                s for ff, tt, s in zip(*(postings[c].to_pylist() for c in ("field", "term", "shard")))
-                if ff == f and tt == t
-            ]
-            assert len(set(rows)) >= 2, f"salted {f}:{t} stayed in one shard"
+    assert postings["shard"].to_pylist() == _expected(postings)

@@ -3,7 +3,7 @@
     # build (or RESUME a killed build — committed segments are skipped)
     ray job submit -- python -m whoosh_reloaded_ray build \\
         --input /data/transcripts/*.parquet --index /data/index \\
-        --num-shards 256 --rows-per-segment 50000000 --salt-df-ratio 0.02
+        --num-shards 256 --rows-per-segment 50000000
 
     # query
     python -m whoosh_reloaded_ray search --index /data/index \\
@@ -54,7 +54,6 @@ def cmd_build(args):
         partition_rows=args.partition_rows,
         rows_per_segment=args.rows_per_segment,
         resume=not args.no_resume,
-        salt_df_ratio=args.salt_df_ratio,
     )
     el = time.time() - t0
     print(
@@ -118,7 +117,6 @@ def main(argv=None) -> int:
     b.add_argument("--partition-rows", type=int, default=250_000)
     b.add_argument("--rows-per-segment", type=int, default=None)
     b.add_argument("--no-resume", action="store_true")
-    b.add_argument("--salt-df-ratio", type=float, default=None)
     b.set_defaults(fn=cmd_build)
 
     s = sub.add_parser("search", help="run a query string")

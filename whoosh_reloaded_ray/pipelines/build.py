@@ -65,18 +65,12 @@ def build_index(
     rows_per_segment: int | None = None,
     partition_rows: int | None = None,
     resume: bool = True,
-    salted_terms: dict | None = None,
-    salt_df_ratio: float | None = None,
-    salt_sample_rows: int = 100_000,
 ) -> Manifest:
     """Build (or resume building) an index over parquet transcript files.
 
-    Hot-term skew valve: ``salted_terms`` = {(field, term): n_salts} splits a
-    hot term's postings across n_salts reducers by docnum range (see
-    stages/tokenize.py).  ``salt_df_ratio`` (e.g. 0.05) auto-detects instead:
-    a driver-side sample of ``salt_sample_rows`` rows estimates per-term doc
-    frequency, and terms appearing in more than ``salt_df_ratio`` of docs get
-    n_salts proportional to their estimated share.
+    Hot-term skew is bounded by the plan, not by splitting keys: a term's
+    postings live in one shard, and a write task holds one segment's
+    (``rows_per_segment``) postings for its shard.
 
     Returns the committed manifest."""
     if isinstance(source_paths, str):
@@ -123,9 +117,6 @@ def build_index(
     parts = plan_partitions(source_paths, target_rows=partition_rows)
     total_rows = sum(p.rows for p in parts)
     rows_per_segment = rows_per_segment or max(total_rows, 1)
-
-    if salted_terms is None and salt_df_ratio is not None:
-        salted_terms = estimate_hot_terms(parts, schema, salt_df_ratio, salt_sample_rows)
 
     # group partitions into segment specs (contiguous docnum ranges)
     seg_specs: list[list[Partition]] = []
@@ -179,9 +170,7 @@ def build_index(
         to_build.append((i, spec))
 
     for i, spec in to_build:
-        seg = _build_segment(
-            f"seg-{i:05d}", spec, index_dir, schema, num_shards, salted_terms
-        )
+        seg = _build_segment(f"seg-{i:05d}", spec, index_dir, schema, num_shards)
         manifest.segments.append(seg)
         manifest.segments.sort(key=lambda s: s.doc_base)
         commit_manifest(index_dir, manifest)
@@ -219,7 +208,6 @@ def _build_segment(
     index_dir: str,
     schema: IndexSchema,
     num_shards: int,
-    salted_terms: dict | None = None,
 ) -> SegmentMeta:
     t0 = time.time()
     import ray
@@ -240,12 +228,7 @@ def _build_segment(
     indexed_cols += [c for c in src_cols if c == "_boost" or (
         c.startswith("_") and c.endswith("_boost") and c[1:-6] in set(indexed_cols)
     )]
-    tok = ray.put(Tokenizer(
-        schema,
-        num_shards=num_shards,
-        salted=salted_terms,
-        doc_range=(doc_base, doc_count),
-    ))
+    tok = ray.put(Tokenizer(schema, num_shards=num_shards))
     map_task = remote_task(_map_partition).options(num_returns=num_shards)
     write_task = remote_task(_write_shard)
     slices = [map_task.remote(p, indexed_cols, tok, num_shards) for p in spec]
@@ -264,9 +247,6 @@ def _build_segment(
         for f, v in json.loads(s["field_lengths_json"]).items():
             field_lengths[f] = field_lengths.get(f, 0) + int(v)
 
-    salted_serial: dict = {}
-    for (f, t), n in (salted_terms or {}).items():
-        salted_serial.setdefault(f, {})[t] = int(n)
     seg_bytes = sum(
         storage.getsize(storage.join(seg_dir, f))
         for f in storage.listdir(seg_dir)
@@ -282,7 +262,6 @@ def _build_segment(
         field_lengths=field_lengths,
         n_terms=sum(s["n_terms"] for s in summary),
         n_postings=sum(s["n_postings"] for s in summary),
-        salted_terms=salted_serial,
         metrics={
             "build_secs": round(elapsed, 3),
             "rows_per_sec": round(doc_count / elapsed, 1) if elapsed else None,
@@ -297,54 +276,3 @@ def _build_segment(
         time.time() - t0,
     )
     return meta
-
-
-def estimate_hot_terms(
-    parts: list,
-    schema: IndexSchema,
-    df_ratio: float,
-    sample_rows: int,
-    max_salts: int = 32,
-) -> dict:
-    """Driver-side sampled doc-frequency estimate -> {(field, term): n_salts}.
-
-    Reads up to ``sample_rows`` rows spread across the partition plan (first
-    row groups of evenly spaced partitions — cheap metadata-guided reads, no
-    cluster pass), tokenizes with the schema analyzers, and marks any term
-    whose sampled doc ratio exceeds ``df_ratio`` as hot with
-    ``n_salts ~ ratio / df_ratio`` (capped).  Deterministic for a fixed plan."""
-    from collections import Counter
-
-    from ..functions.analysis import make_analyzer
-
-    if not parts:
-        return {}
-    step = max(1, len(parts) // 8)
-    sampled = parts[::step][:8]
-    per_part = max(1, sample_rows // len(sampled))
-    counters = {f.name: Counter() for f in schema.indexed_fields if f.scorable}
-    analyzers = {
-        f.name: make_analyzer(f.analyzer)
-        for f in schema.indexed_fields
-        if f.scorable
-    }
-    n_docs = 0
-    for p in sampled:
-        tbl = read_partition(p, columns=list(analyzers))
-        tbl = tbl.slice(0, per_part)
-        n_docs += tbl.num_rows
-        for fname, analyze in analyzers.items():
-            for text in tbl[fname].to_pylist():
-                if text:
-                    counters[fname].update({t for t, _ in analyze(text)})
-    hot: dict = {}
-    if n_docs == 0:
-        return hot
-    for fname, ctr in counters.items():
-        for term, df in ctr.items():
-            ratio = df / n_docs
-            if ratio > df_ratio:
-                hot[(fname, term)] = min(max_salts, max(2, int(ratio / df_ratio)))
-    return hot
-
-

@@ -159,17 +159,6 @@ def merge_segments(index_dir: str, victims: list, new_name: str) -> SegmentMeta:
     for s in victims:
         for f, ln in s.field_lengths.items():
             field_lengths[f] = field_lengths.get(f, 0) + ln
-    # a salted term's postings stay in its salted sub-shard files after the
-    # block concat — the merged meta must keep the union of the victims'
-    # salt configs (max n_salts: shard sets for smaller n are subsets) or
-    # the reader resolves the term to the unsalted base shard only and the
-    # postings become invisible
-    salted: dict = {}
-    for s in victims:
-        for f, terms in (s.salted_terms or {}).items():
-            dst = salted.setdefault(f, {})
-            for t, n in terms.items():
-                dst[t] = max(dst.get(t, 0), int(n))
     return SegmentMeta(
         name=new_name,
         doc_base=min(s.doc_base for s in victims),
@@ -179,7 +168,6 @@ def merge_segments(index_dir: str, victims: list, new_name: str) -> SegmentMeta:
         field_lengths=field_lengths,
         n_terms=sum(st["n_terms"] for st in summary),
         n_postings=sum(st["n_postings"] for st in summary),
-        salted_terms=salted,
     )
 
 

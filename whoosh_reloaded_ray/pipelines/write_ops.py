@@ -91,7 +91,6 @@ def append_documents(
     source_paths,
     partition_rows: int | None = None,
     num_shards: int | None = None,
-    salted_terms: dict | None = None,
 ) -> Manifest:
     """Index additional parquet files as one new segment appended after the
     existing docnum space, through the build's ``_build_segment``.
@@ -120,7 +119,6 @@ def append_documents(
         index_dir,
         manifest.schema,
         num_shards or (manifest.segments[0].num_shards if manifest.segments else 16),
-        salted_terms,
     )
     manifest.segments.append(seg)
     manifest.segments.sort(key=lambda s: s.doc_base)
@@ -163,7 +161,6 @@ def update_documents(
     unique_fields=("conv_id", "turn_idx"),
     partition_rows: int | None = None,
     num_shards: int | None = None,
-    salted_terms: dict | None = None,
 ) -> Manifest:
     """Replace docs whose unique-key tuple matches an incoming row, then
     append the incoming rows (reference update_document semantics:
@@ -200,6 +197,4 @@ def update_documents(
         dels = np.concatenate(parts) if parts else dels
     if dels.size:
         manifest = _write_tombstones(index_dir, manifest, dels.astype(np.uint64))
-    return append_documents(
-        index_dir, source_path, partition_rows, num_shards, salted_terms
-    )
+    return append_documents(index_dir, source_path, partition_rows, num_shards)

@@ -39,7 +39,7 @@ from ..stages.segment_write import (
     WEIGHTS_FLOAT32,
     WEIGHTS_VARINT,
 )
-from ..stages.tokenize import _salted_shard_of, _shard_of
+from ..stages.tokenize import _shard_of
 from ..state.manifest import Manifest, SegmentMeta
 from . import ast
 
@@ -425,22 +425,6 @@ class SegmentReader:
         pi = np.searchsorted(self._part_bases, d, side="right") - 1
         return self._part_cum[pi] + (d - self._part_bases[pi])
 
-    # ---- shard resolution (salted hot terms live in several shards) -------
-
-    def _shards_for(self, field: str, term: str) -> list:
-        n_salts = self.seg.salted_terms.get(field, {}).get(term)
-        if not n_salts:
-            return [_shard_of(field, term, self.seg.num_shards)]
-        # include the unsalted base shard too: a merged segment may combine
-        # victims where the term was salted in some and not in others, so
-        # part of its postings can live in the base shard file
-        shards = {_shard_of(field, term, self.seg.num_shards)}
-        shards.update(
-            _salted_shard_of(field, term, s, self.seg.num_shards)
-            for s in range(n_salts)
-        )
-        return sorted(shards)
-
     # ---- shard files: each (file, row group) read once --------------------
 
     def _check_segment_exists(self) -> None:
@@ -550,21 +534,10 @@ class SegmentReader:
         key = (field, term)
         if key in self._terminfo_cache:
             return self._terminfo_cache[key]
-        parts = [
-            t for shard in self._shards_for(field, term)
-            for t in self._rows(TERMINFO_FILE, shard, field, term, term)
-        ]
-        info = None
-        if parts:
-            t = pa.concat_tables(parts)
-            info = {c: t[c][0].as_py() for c in t.column_names}
-            if t.num_rows > 1:  # aggregate a salted term's per-sub-shard rows (associative)
-                for c, agg in (
-                    ("doc_freq", pc.sum), ("weight_sum", pc.sum), ("max_weight", pc.max),
-                    ("doc_min", pc.min), ("doc_max", pc.max),
-                    ("min_len_byte", pc.min), ("max_len_byte", pc.max),
-                ):
-                    info[c] = agg(t[c]).as_py()
+        # a term has one terminfo row, in its one shard
+        shard = _shard_of(field, term, self.seg.num_shards)
+        rows = self._rows(TERMINFO_FILE, shard, field, term, term)
+        info = {c: rows[0][c][0].as_py() for c in rows[0].column_names} if rows else None
         self._terminfo_cache[key] = info
         return info
 
@@ -581,12 +554,9 @@ class SegmentReader:
         out: dict = {}
         for shard in range(self.seg.num_shards):
             for rg, lo, hi in self._runs(TERMINFO_FILE, shard, field, *bounds, endexcl=True):
-                for term, w, df in zip(
-                    rg.terms[lo:hi], rg.col("weight_sum")[lo:hi].tolist(),
-                    rg.col("doc_freq")[lo:hi].tolist(),
-                ):
-                    ow, odf = out.get(term, (0.0, 0))  # salted terms span shards
-                    out[term] = (ow + float(w), odf + int(df))
+                ws = rg.col("weight_sum")[lo:hi].tolist()
+                dfs = rg.col("doc_freq")[lo:hi].tolist()
+                out.update(zip(rg.terms[lo:hi], zip(ws, dfs)))
         return out
 
     def expand_terms(self, field: str, start=None, end=None, startexcl=False, endexcl=False):
@@ -603,34 +573,28 @@ class SegmentReader:
     # ---- postings ---------------------------------------------------------
 
     def _block_runs(self, field: str, term: str) -> list:
-        """``_runs`` of a term's block rows across its (possibly salted)
-        shards and row groups.  A shard whose terminfo lacks the term has
-        no postings for it, so its postings file is not read; a shard
-        whose terminfo holds the term must have a postings file."""
-        runs = []
-        for shard in self._shards_for(field, term):
-            if not self._runs(TERMINFO_FILE, shard, field, term, term):
-                continue
-            path = storage.join(self.dir, POSTINGS_FILE.format(shard=shard))
-            if self._footer(path) is None:
-                raise FileNotFoundError(
-                    f"postings file {path} is missing, but its shard's terminfo "
-                    f"holds {field}:{term!r}"
-                )
-            runs += self._runs(POSTINGS_FILE, shard, field, term, term)
-        return runs
+        """``_runs`` of a term's block rows in its shard's postings file, in
+        doc order: the writer and the merge sort block rows by (field,
+        term, doc_min), so row group order is doc order.  A term its
+        shard's terminfo lacks reads no postings file; one it holds must
+        have a postings file."""
+        shard = _shard_of(field, term, self.seg.num_shards)
+        if not self._runs(TERMINFO_FILE, shard, field, term, term):
+            return []
+        path = storage.join(self.dir, POSTINGS_FILE.format(shard=shard))
+        if self._footer(path) is None:
+            raise FileNotFoundError(
+                f"postings file {path} is missing, but its shard's terminfo "
+                f"holds {field}:{term!r}"
+            )
+        return self._runs(POSTINGS_FILE, shard, field, term, term)
 
     def _read_blocks(self, field: str, term: str):
-        """Block rows of a term as one table, doc-ordered across shards and
-        row groups, or None."""
+        """Block rows of a term as one table, in doc order, or None."""
         parts = [rg.table.slice(lo, hi - lo) for rg, lo, hi in self._block_runs(field, term)]
         if len(parts) <= 1:
             return parts[0] if parts else None
-        # salted sub-shards hold disjoint docnum ranges and blocks are
-        # self-contained, so ordering block rows by doc_min restores the
-        # globally doc-sorted posting list
-        t = pa.concat_tables(parts)
-        return t.take(pc.sort_indices(t, sort_keys=[("doc_min", "ascending")]))
+        return pa.concat_tables(parts)
 
     def block_meta(self, field: str, term: str):
         """Per-block bound metadata for block-max WAND: dict of numpy arrays
@@ -647,10 +611,7 @@ class SegmentReader:
         if len(runs) == 1:
             rg, lo, hi = runs[0]
             return {c: rg.col(c)[lo:hi] for c in bounds}
-        # the doc order _read_blocks gives the postings (a stable sort)
-        meta = {c: np.concatenate([rg.col(c)[lo:hi] for rg, lo, hi in runs]) for c in bounds}
-        order = np.argsort(meta["doc_min"], kind="stable")
-        return {c: v[order] for c, v in meta.items()}
+        return {c: np.concatenate([rg.col(c)[lo:hi] for rg, lo, hi in runs]) for c in bounds}
 
     def decode_blocks(self, field: str, term: str, keep: np.ndarray):
         """Postings of the selected blocks -> (docs, weights, len_bytes).

@@ -21,13 +21,13 @@ per-block Python encode loop).
 Per-term stats (TermInfo equivalent: reading.py:62-140) go to a sibling
 terminfo parquet; sentinel length rows go to a doclens parquet.
 
-Scale notes: a shard holds ~|vocab|/num_shards terms; the hottest term's
-postings sit in one shard but stream through as 128-posting block rows, so
-nothing needs the whole posting list in one buffer at query time. If one
-term's postings outgrow a shard task's memory at 10^12 turns, raise
-num_shards and/or salt that term's docnum space into sub-shards (the block
-rows concatenate in docnum order because sub-shards partition docnum
-ranges) — the layout already supports multiple parquet files per shard.
+Scale notes: a shard holds ~|vocab|/num_shards terms, and every term lives
+in exactly one shard.  The hottest term's postings sit in one shard but
+stream through as 128-posting block rows, so nothing needs the whole
+posting list in one buffer at query time.  A write task holds one
+segment's (``rows_per_segment``) postings for its shard, so the planner
+bounds a hot term's load by segment size rather than by splitting the
+term; a term too hot for one write task needs smaller segments.
 """
 
 from __future__ import annotations

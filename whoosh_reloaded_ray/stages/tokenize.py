@@ -19,11 +19,12 @@ post-stop-filter, renumbered (reference formats.py:190-236).
 each posting's (field, term, docnum) after the analysis path that emitted
 it: ``crc32(field:term) % num_shards`` (stable across processes, unlike
 Python's ``hash``); sentinel rows shard by docnum so doc lengths spread
-evenly; a salted hot term shards by docnum range (``_salted_shard_of``).
-The analysis paths know nothing of shards.  Hot-term skew: a single term's
-postings land in one shard, but a shard holds ~|vocab|/R terms so the skew
-is bounded by the hottest term's posting count; see stages/segment_write.py
-for the block layout that keeps even a giant posting list streamable.
+evenly.  Every term lives in exactly one shard of a segment.  The analysis
+paths know nothing of shards.  Hot-term skew: a single term's postings land
+in one shard, but a shard holds ~|vocab|/R terms of one segment's rows, so
+the skew is bounded by the hottest term's posting count in a segment; see
+stages/segment_write.py for the block layout that keeps even a giant
+posting list streamable.
 """
 
 from __future__ import annotations
@@ -79,10 +80,6 @@ def _shard_of(field: str, term: str, num_shards: int) -> int:
     return zlib.crc32(f"{field}:{term}".encode("utf-8")) % num_shards
 
 
-def _salted_shard_of(field: str, term: str, salt: int, num_shards: int) -> int:
-    return zlib.crc32(f"{field}:{term}#{salt}".encode("utf-8")) % num_shards
-
-
 class Tokenizer:
     """Callable: a batch of documents (with ``docnum``) -> POSTING_SCHEMA
     postings.  Analyzers compile once per instance; a build ships one
@@ -92,21 +89,11 @@ class Tokenizer:
         self,
         schema: IndexSchema,
         num_shards: int = 16,
-        salted: dict | None = None,
-        doc_range: tuple | None = None,
+        doc_range: tuple | None = None,  # ignored; perfbench's replay_build still passes it
     ):
-        """``salted``: {(field, term): n_salts} — HOT TERMS whose postings
-        are split across n_salts sub-shards by contiguous docnum range
-        (``doc_range`` = (first_docnum, n_docs) of the segment), so each
-        sub-shard's posting blocks cover a disjoint docnum range and the
-        reader can concatenate block rows sorted by doc_min (the same
-        self-contained-block property the segment merge relies on).  This is
-        the skew valve: the hottest term's reduce work fans out over
-        n_salts reducers instead of serializing in one."""
+        """``num_shards``: the shard count ``_route`` keys postings by."""
         self.schema = schema
         self.num_shards = num_shards
-        self.salted = salted or {}
-        self.doc_range = doc_range or (0, 1)
         self.specs = [
             (f.name, f.analyzer, f.scorable, f.positions, f.boost)
             for f in schema.indexed_fields
@@ -431,19 +418,15 @@ class Tokenizer:
     def _route(self, fname, out, first):
         """Set ``shard``, the exchange key, for the postings one field's run
         appended to ``out`` (its chunks from ``first`` on); the write-side
-        statement of the rule ``SegmentReader._shards_for`` reads back:
+        statement of the rule ``SegmentReader`` reads back:
 
         * a term goes to ``_shard_of(field, term)``, one crc32 per distinct
-          term of the chunk;
+          term of the chunk, so all of a term's postings are in one shard;
         * a sentinel doc-length row goes to ``docnum % num_shards``, so doc
-          lengths spread evenly;
-        * a salted hot term goes to ``_salted_shard_of(field, term, salt)``,
-          ``salt`` being the posting's docnum range within ``doc_range``.
+          lengths spread evenly.
 
         A term chunk may come dictionary-encoded; it is decoded here."""
         R = self.num_shards
-        doc_lo, doc_n = self.doc_range
-        salted = {t: n for (f, t), n in self.salted.items() if f == fname}
         prefix = zlib.crc32(f"{fname}:".encode("utf-8"))
         for k in range(first, len(out["term"])):
             terms = out["term"][k]
@@ -463,20 +446,11 @@ class Tokenizer:
                 ],
                 dtype=np.int32,
             )[codes]
-            docs = out["docnum"][k].to_numpy(zero_copy_only=False).astype(np.int64)
-            for t in (LEN_SENTINEL, *salted):
-                code = pc.index(uniques, t).as_py()
-                if code < 0:
-                    continue
+            code = pc.index(uniques, LEN_SENTINEL).as_py()
+            if code >= 0:
                 m = codes == code
-                if t == LEN_SENTINEL:
-                    shard[m] = docs[m] % R
-                    continue
-                salt = (docs[m] - doc_lo) * salted[t] // max(doc_n, 1)
-                salts, inv = np.unique(salt, return_inverse=True)
-                shard[m] = np.array(
-                    [_salted_shard_of(fname, t, int(s), R) for s in salts], np.int32
-                )[inv]
+                docs = out["docnum"][k].to_numpy(zero_copy_only=False).astype(np.int64)
+                shard[m] = docs[m] % R
             out["shard"].append(pa.array(shard, pa.int32()))
 
     def _span_tokens(self, fname, aspec):

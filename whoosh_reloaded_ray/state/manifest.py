@@ -37,9 +37,6 @@ class SegmentMeta:
     field_lengths: dict  # field -> total TRUE token count (for avgfl)
     n_terms: int = 0
     n_postings: int = 0
-    # hot-term salt config used at build time: {field: {term: n_salts}};
-    # the reader needs it to find a salted term's sub-shards
-    salted_terms: dict = field(default_factory=dict)
     # build metrics for observability/resume audits: wall seconds, posting
     # bytes written, rows/s (north-rule: per-partition lineage AND metrics)
     metrics: dict = field(default_factory=dict)
@@ -54,7 +51,6 @@ class SegmentMeta:
             "field_lengths": self.field_lengths,
             "n_terms": self.n_terms,
             "n_postings": self.n_postings,
-            "salted_terms": self.salted_terms,
             "metrics": self.metrics,
         }
 
@@ -62,7 +58,13 @@ class SegmentMeta:
     def from_dict(d: dict) -> "SegmentMeta":
         d = dict(d)
         d["partitions"] = [Partition.from_dict(p) for p in d["partitions"]]
-        d.setdefault("salted_terms", {})
+        # manifests from builds that split hot terms over several shards:
+        # read with one shard per term, their split terms would miss postings
+        if d.pop("salted_terms", None):
+            raise ValueError(
+                f"segment {d['name']} was built with hot-term salting, which "
+                "this version cannot read; rebuild the index"
+            )
         d.setdefault("metrics", {})
         return SegmentMeta(**d)
 
