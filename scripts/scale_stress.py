@@ -99,10 +99,11 @@ def phase_build(turns: int, cpus: int, index_dir: str, rows_per_segment: int = 0
     11.2k turns/s with 29.6 GiB of object-store spill at 10M turns, with
     the former Ray Data groupby exchange).
     rows_per_segment>0 -> BOUNDED segments, the 100 TB configuration: each
-    segment is one exchange whose working set fits the object store,
-    built one at a time with a manifest commit after each (resume unit).
-    Size it so postings-per-segment ~ a third of the aggregate object
-    store."""
+    segment is one exchange whose working set fits the object store, at
+    most two in flight (the next one's map tasks run while the last one
+    writes), committed in plan order with a manifest commit after each
+    (resume unit).  Size it so postings-per-segment ~ a third of the
+    aggregate object store: two in flight then fit."""
     import glob
     import shutil
 
@@ -219,9 +220,9 @@ def main():
 
     os.makedirs(WORK, exist_ok=True)
     # bounded-segment default: ~4 segments at the full 10M size — build
-    # runs one segment at a time, so in-flight exchange state is a quarter
-    # of the corpus; 0 would mean one corpus-spanning exchange (29.6 GiB
-    # spill at 10M, measured with the former Ray Data groupby)
+    # keeps at most two segments in flight, so in-flight exchange state is
+    # at most half of the corpus; 0 would mean one corpus-spanning exchange
+    # (29.6 GiB spill at 10M, measured with the former Ray Data groupby)
     rps = args.rows_per_segment or max(args.turns // 4, 250_000)
     report = {"turns": args.turns}
     report["gen"] = _run_phase("gen", args.cpus, turns=args.turns)

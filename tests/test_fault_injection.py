@@ -45,10 +45,10 @@ def corpus(tmp_path_factory):
 def _tree_hashes(idx_dir: str) -> dict:
     """relative path -> sha256 for every file in an index dir.
 
-    Manifests are hashed with the per-segment ``metrics`` block (wall-clock
-    build_secs / rows_per_sec diagnostics — intrinsically timing-dependent)
-    stripped; every logical field (doc counts, docnum bases, field sums,
-    lineage) stays in the hash."""
+    Manifests are hashed with the per-segment ``metrics`` block (task
+    counters, whose busy seconds are timing-dependent) stripped; every
+    logical field (doc counts, docnum bases, field sums, lineage) stays in
+    the hash."""
     import json
 
     out = {}

@@ -7,7 +7,9 @@ inside its first query.  ``state/storage.py``'s converters (``as_numpy``,
 instead.  Here: they equal pyarrow's own conversions; a fresh local
 process and fresh segment actors answer every query kind, a sorted search
 and a facet search with pandas never imported; and query/ and state/ call
-no pandas-backed conversion outside the converters."""
+no pandas-backed conversion outside the converters.  Segment actors also
+leave the query-string parser unimported: ``query/__init__.py`` loads it
+on first use."""
 
 from __future__ import annotations
 
@@ -226,6 +228,28 @@ def test_segment_actors_never_import_pandas(idx_dir):
         exec(_SEARCHES, {"s": s, "QUERIES": queries})
         loaded = s._ray.get([
             w.__ray_call__.remote(lambda _: "pandas" in sys.modules) for w in s.workers
+        ])
+        assert len(loaded) == 2 and not any(loaded)
+    finally:
+        for w in s.workers:
+            s._ray.kill(w)
+
+
+def test_segment_actors_never_import_the_query_parser(idx_dir):
+    """Actors evaluate parsed queries: after one query of each perfbench
+    kind, neither has imported the query-string parser."""
+    from whoosh_reloaded_ray.query import QueryParser
+    from whoosh_reloaded_ray.schema import transcript_schema
+    from whoosh_reloaded_ray.state.searcher import IndexSearcher
+
+    qp = QueryParser("text", transcript_schema())
+    s = IndexSearcher(idx_dir, executor="ray", num_actors=2)
+    try:
+        hits = [s.search(qp.parse(q), limit=10).num_rows for q in _queries(idx_dir)]
+        assert hits[0] > 0, hits
+        loaded = s._ray.get([
+            w.__ray_call__.remote(lambda _: "whoosh_reloaded_ray.query.parser" in sys.modules)
+            for w in s.workers
         ])
         assert len(loaded) == 2 and not any(loaded)
     finally:

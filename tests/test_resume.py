@@ -33,7 +33,7 @@ def test_killed_build_resumes_without_reprocessing(corpus, ray_session, tmp_path
     idx_dir = str(tmp_path_factory.mktemp("resumeidx"))
     ref_dir = str(tmp_path_factory.mktemp("refidx"))
 
-    real = build_mod._build_segment
+    real = build_mod._submit_segment
     calls = {"n": 0}
 
     def dying(*args, **kwargs):
@@ -42,10 +42,10 @@ def test_killed_build_resumes_without_reprocessing(corpus, ray_session, tmp_path
             raise RuntimeError("simulated kill")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(build_mod, "_build_segment", dying)
+    monkeypatch.setattr(build_mod, "_submit_segment", dying)
     with pytest.raises(RuntimeError, match="simulated kill"):
         build_mod.build_index([corpus], idx_dir, num_shards=4, partition_rows=16, rows_per_segment=16)
-    monkeypatch.setattr(build_mod, "_build_segment", real)
+    monkeypatch.setattr(build_mod, "_submit_segment", real)
 
     # the kill left 2 committed segments (generation per segment)
     man = load_manifest(idx_dir)
@@ -95,13 +95,13 @@ def test_resume_reuses_committed_partition_plan(corpus, ray_session, tmp_path_fa
     assert n_segs > 1
 
     calls = {"n": 0}
-    real = build_mod._build_segment
+    real = build_mod._submit_segment
 
     def counting(*args, **kwargs):
         calls["n"] += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(build_mod, "_build_segment", counting)
+    monkeypatch.setattr(build_mod, "_submit_segment", counting)
     # different requested plan: the committed one must win and everything skip
     build_mod.build_index([corpus], idx_dir, num_shards=8, partition_rows=64)
     assert calls["n"] == 0

@@ -11,12 +11,15 @@ only its arguments' data.
 
 Every write task (build's map and shard write, merge's per-shard merge,
 update's key match) is a module-level function made remote by
-``remote_task``, once per process.
+``remote_task``, once per process.  Build's and merge's tasks return their
+counters (``counters``), which the driver sums per stage
+(``sum_counters``) into ``SegmentMeta.metrics``.
 """
 
 from __future__ import annotations
 
 import functools
+import time
 
 
 @functools.cache
@@ -29,6 +32,44 @@ def remote_task(fn):
     import ray
 
     return ray.remote(num_cpus=1)(fn)
+
+
+def counters(rows: int, nbytes: int, t0: float) -> dict:
+    """A task's counters: rows it handled, bytes it produced, and seconds
+    since ``t0`` (a ``time.perf_counter()`` taken as it started)."""
+    return {"rows": int(rows), "bytes": int(nbytes), "busy_s": time.perf_counter() - t0}
+
+
+def sum_counters(tasks) -> dict:
+    """One stage's counters: the sum of its tasks'."""
+    tasks = list(tasks)
+    return {
+        "rows": sum(c["rows"] for c in tasks),
+        "bytes": sum(c["bytes"] for c in tasks),
+        "busy_s": round(sum(c["busy_s"] for c in tasks), 4),
+    }
+
+
+def segment_test_hook(seg_dir: str) -> None:
+    """TEST-ONLY delay/failure hook for one segment's map tasks.
+
+    If the index root holds ``.test_hook_<segment name>``, each map task of
+    that segment reads it first: ``sleep <seconds>`` sleeps that long, any
+    other text raises ``RuntimeError``.  No-op when the file is absent,
+    which is always true outside tests (only tests/test_build_pipeline.py
+    creates one)."""
+    import os
+
+    root, name = os.path.split(seg_dir.rstrip("/"))
+    path = os.path.join(root, f".test_hook_{name}")
+    if not os.path.exists(path):
+        return
+    with open(path) as f:
+        action = f.read().split()
+    if action[:1] == ["sleep"]:
+        time.sleep(float(action[1]))
+    else:
+        raise RuntimeError(f"test hook: segment {name} fails")
 
 
 def consume_fault_flag(flag_path: str) -> None:

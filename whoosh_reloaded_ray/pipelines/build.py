@@ -5,12 +5,14 @@ The Ray equivalent of the reference's MpWriter map->sort->reduce build
 by an exchange keyed on the term shard, built from plain Ray tasks:
 
     map task per partition:   read_partition -> Tokenizer -> sort by shard
-                              -> one Arrow IPC slice per shard
-                                 (num_returns=num_shards)
+                              -> one Arrow IPC slice per shard, then its
+                                 counters (num_returns=num_shards + 1)
     write task per shard:     concat its slices -> ShardSegmentWriter
                               -> postings/terminfo/doclens parquet files
-                              -> its summary row (none if empty) as dicts
-    driver:                   sum the shard summaries -> SegmentMeta
+                              -> its summary row (none if empty) as dicts,
+                                 and its counters
+    driver:                   sum the shard summaries -> SegmentMeta, and
+                              the task counters -> SegmentMeta.metrics
     commit_manifest()         # atomic TOC generation
 
 What crosses a task boundary is an Arrow IPC buffer or a plain dict, never
@@ -26,15 +28,26 @@ atomic (tmp + rename) and the output is byte-deterministic, so a retry
 yields the same segment.  Tasks hold no CPUs beyond their own run, so a
 build finishes on any cluster size, one CPU included.
 
-Checkpoint/resume: segments are built one at a time and committed one
-manifest generation each, in plan order; a resumed build diffs the plan
-against committed lineage and only runs missing segments.  A killed run
-leaves at most uncommitted shard files that the resume overwrites
-atomically.
+Every task returns its counters: rows, bytes and busy seconds (map: source
+rows read and IPC bytes sent; write: postings and file bytes written).
+Summed per stage they are the segment's ``metrics``, and the write tasks'
+bytes are its ``index_bytes``.
+
+Checkpoint/resume: segments are built with at most two in flight,
+committed in plan order, one manifest generation each.  A segment is
+submitted (its map and write tasks launched) before the one ahead of it is
+finished (its summaries gathered) and committed, so the next segment's map
+tasks fill the CPUs the last one's write tasks leave idle.  When a segment
+fails, the segments ahead of it still commit, nothing planned after it
+does, and the build waits until every task it launched has ended before it
+raises.  A resumed build diffs the plan against committed lineage and only
+runs missing segments.  A killed run leaves at most uncommitted shard
+files that the resume overwrites atomically.
 
 Scale: each segment is one bounded exchange over only ``rows_per_segment``
 rows — the exchange never spans the whole corpus and a lost segment costs
-one segment, not the build.
+one segment, not the build.  Two in flight bound the object store's share
+to two segments' map outputs.
 """
 
 from __future__ import annotations
@@ -42,12 +55,14 @@ from __future__ import annotations
 import json
 import logging
 import time
+from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .._rayutil import remote_task
+from .._rayutil import counters, remote_task, segment_test_hook, sum_counters
 from ..schema import IndexSchema, transcript_schema
 from ..sources.corpus import Partition, plan_partitions, read_partition
 from ..stages.segment_write import ShardSegmentWriter
@@ -55,6 +70,11 @@ from ..stages.tokenize import Tokenizer
 from ..state.manifest import Manifest, SegmentMeta, commit_manifest, load_manifest
 
 logger = logging.getLogger(__name__)
+
+# segments in flight at once: double buffering.  The next segment's map
+# tasks run while the last one's write tasks finish and it commits, so the
+# object store holds at most two segments' map outputs.
+_IN_FLIGHT = 2
 
 
 def build_index(
@@ -169,23 +189,70 @@ def build_index(
             )
         to_build.append((i, spec))
 
-    for i, spec in to_build:
-        seg = _build_segment(f"seg-{i:05d}", spec, index_dir, schema, num_shards)
-        manifest.segments.append(seg)
-        manifest.segments.sort(key=lambda s: s.doc_base)
-        commit_manifest(index_dir, manifest)
+    todo = deque(to_build)
+    if todo:
+        import ray
+
+        columns = _source_columns(schema, todo[0][1][0].path)
+        tok = ray.put(Tokenizer(schema, num_shards=num_shards))
+    flights: deque = deque()  # submitted, not yet committed, in plan order
+    failed = None
+    try:
+        while todo or flights:
+            while failed is None and todo and len(flights) < _IN_FLIGHT:
+                i, spec = todo.popleft()
+                try:
+                    flights.append(
+                        _submit_segment(f"seg-{i:05d}", spec, index_dir, num_shards, columns, tok)
+                    )
+                except Exception as exc:
+                    # the segments already in flight come first in the
+                    # plan: they still finish and commit
+                    failed = exc
+            if not flights:
+                break
+            manifest.segments.append(_finish_segment(flights[0]))
+            flights.popleft()
+            manifest.segments.sort(key=lambda s: s.doc_base)
+            commit_manifest(index_dir, manifest)
+    finally:
+        # after a failure, what is still in flight is planned after it:
+        # nothing of it commits, but its tasks end before we return, so
+        # none is still writing when the caller resumes or cleans up
+        _wait_ended(flights)
+    if failed is not None:
+        raise failed
     return manifest
 
 
-def _map_partition(part: Partition, columns: list, tok: Tokenizer, num_shards: int):
+def _source_columns(schema: IndexSchema, path: str) -> list:
+    """The source columns a map task reads: the indexed fields, plus the
+    write-time boost columns (_boost / _<field>_boost, reference
+    writing.py:392-402) when the source file carries them."""
+    import pyarrow.parquet as pq
+
+    columns = [f.name for f in schema.indexed_fields]
+    indexed = set(columns)
+    src_cols = set(pq.ParquetFile(path).schema_arrow.names)
+    return columns + [c for c in src_cols if c == "_boost" or (
+        c.startswith("_") and c.endswith("_boost") and c[1:-6] in indexed
+    )]
+
+
+def _map_partition(
+    part: Partition, columns: list, tok: Tokenizer, num_shards: int, seg_dir: str
+):
     """Map task: one partition's postings, cut into one slice per shard
     (slice k holds shard k's rows, possibly none), each an Arrow IPC
-    stream."""
-    postings = tok(read_partition(part, columns=columns))
+    stream; then the task's counters (source rows read, slice bytes)."""
+    segment_test_hook(seg_dir)
+    t0 = time.perf_counter()
+    batch = read_partition(part, columns=columns)
+    postings = tok(batch)
     postings = postings.take(pc.sort_indices(postings, sort_keys=[("shard", "ascending")]))
     bounds = np.searchsorted(postings["shard"].to_numpy(), np.arange(num_shards + 1))
     slices = [_to_ipc(postings.slice(a, b - a)) for a, b in zip(bounds[:-1], bounds[1:])]
-    return slices if num_shards > 1 else slices[0]
+    return (*slices, counters(batch.num_rows, sum(s.size for s in slices), t0))
 
 
 def _to_ipc(table: pa.Table) -> pa.Buffer:
@@ -195,49 +262,67 @@ def _to_ipc(table: pa.Table) -> pa.Buffer:
     return sink.getvalue()
 
 
-def _write_shard(seg_dir: str, *slices: pa.Buffer) -> list:
+def _write_shard(seg_dir: str, *slices: pa.Buffer) -> tuple:
     """Write task: one shard's slices from every map task -> its files;
-    returns the shard's summary rows (none for an empty shard)."""
+    returns the shard's summary rows (none if empty) and the task's
+    counters (postings written, file bytes)."""
+    t0 = time.perf_counter()
     table = pa.concat_tables([pa.ipc.open_stream(s).read_all() for s in slices])
-    return ShardSegmentWriter(seg_dir)(table).to_pylist()
+    rows = ShardSegmentWriter(seg_dir)(table).to_pylist()
+    return rows, counters(
+        sum(r["n_postings"] for r in rows), sum(r["bytes"] for r in rows), t0
+    )
 
 
-def _build_segment(
-    name: str,
-    spec: list,
-    index_dir: str,
-    schema: IndexSchema,
-    num_shards: int,
-) -> SegmentMeta:
-    t0 = time.time()
-    import ray
+@dataclass
+class _Flight:
+    """A submitted segment: its plan and its tasks' refs."""
 
+    name: str
+    spec: list
+    num_shards: int
+    maps: list  # each map task's counters
+    writes: list  # each write task's (summary rows, counters)
+
+
+def _submit_segment(
+    name: str, spec: list, index_dir: str, num_shards: int, columns: list, tok
+) -> _Flight:
+    """First step of a segment build: launch its map tasks and one write
+    task per shard, and return their refs without waiting.  ``tok`` is
+    the build's ``Tokenizer``, already in the object store."""
     from ..state import storage
 
     seg_dir = storage.join(index_dir, name)
     storage.makedirs(seg_dir)
-
-    doc_base = min(p.base for p in spec)
-    doc_count = sum(p.rows for p in spec)
-    indexed_cols = [f.name for f in schema.indexed_fields]
-    # write-time boost columns (_boost / _<field>_boost, reference
-    # writing.py:392-402) ride along when the source carries them
-    import pyarrow.parquet as _pq
-
-    src_cols = set(_pq.ParquetFile(spec[0].path).schema_arrow.names)
-    indexed_cols += [c for c in src_cols if c == "_boost" or (
-        c.startswith("_") and c.endswith("_boost") and c[1:-6] in set(indexed_cols)
-    )]
-    tok = ray.put(Tokenizer(schema, num_shards=num_shards))
-    map_task = remote_task(_map_partition).options(num_returns=num_shards)
+    map_task = remote_task(_map_partition).options(num_returns=num_shards + 1)
     write_task = remote_task(_write_shard)
-    slices = [map_task.remote(p, indexed_cols, tok, num_shards) for p in spec]
-    if num_shards == 1:
-        slices = [[ref] for ref in slices]
-    summary = [row for rows in ray.get([
-        write_task.remote(seg_dir, *(refs[k] for refs in slices))
-        for k in range(num_shards)
-    ]) for row in rows]
+    outs = [map_task.remote(p, columns, tok, num_shards, seg_dir) for p in spec]
+    writes = [
+        write_task.remote(seg_dir, *(refs[k] for refs in outs)) for k in range(num_shards)
+    ]
+    return _Flight(name, list(spec), num_shards, [refs[-1] for refs in outs], writes)
+
+
+def _wait_ended(flights) -> None:
+    """Block until every task of ``flights`` has ended, failed ones too."""
+    import ray
+
+    refs = [r for f in flights for r in f.maps + f.writes]
+    if refs:
+        ray.wait(refs, num_returns=len(refs), fetch_local=False)
+
+
+def _finish_segment(flight: _Flight) -> SegmentMeta:
+    """Second step of a segment build: wait for its tasks (raising the
+    first failure), then sum their shard summaries and counters into its
+    ``SegmentMeta``."""
+    import ray
+
+    _wait_ended([flight])
+    maps = ray.get(flight.maps)
+    writes = ray.get(flight.writes)
+    summary = [row for rows, _ in writes for row in rows]
 
     # field totals for avgfl: each shard writer pre-aggregates its doclen
     # sentinel rows and ships the per-field sums back in its summary row —
@@ -247,32 +332,36 @@ def _build_segment(
         for f, v in json.loads(s["field_lengths_json"]).items():
             field_lengths[f] = field_lengths.get(f, 0) + int(v)
 
-    seg_bytes = sum(
-        storage.getsize(storage.join(seg_dir, f))
-        for f in storage.listdir(seg_dir)
-        if f.endswith(".parquet")
-    )
-    elapsed = time.time() - t0
+    write = sum_counters(c for _, c in writes)
     meta = SegmentMeta(
-        name=name,
-        doc_base=doc_base,
-        doc_count=doc_count,
-        num_shards=num_shards,
-        partitions=list(spec),
+        name=flight.name,
+        doc_base=min(p.base for p in flight.spec),
+        doc_count=sum(p.rows for p in flight.spec),
+        num_shards=flight.num_shards,
+        partitions=flight.spec,
         field_lengths=field_lengths,
         n_terms=sum(s["n_terms"] for s in summary),
         n_postings=sum(s["n_postings"] for s in summary),
-        metrics={
-            "build_secs": round(elapsed, 3),
-            "rows_per_sec": round(doc_count / elapsed, 1) if elapsed else None,
-            "index_bytes": seg_bytes,
-        },
+        metrics={"index_bytes": write["bytes"], "map": sum_counters(maps), "write": write},
     )
     logger.info(
-        "built %s: %d docs, %d postings in %.1fs",
-        name,
-        doc_count,
-        meta.n_postings,
-        time.time() - t0,
+        "built %s: %d docs, %d postings, %.2fs of map and %.2fs of write tasks",
+        meta.name, meta.doc_count, meta.n_postings,
+        meta.metrics["map"]["busy_s"], write["busy_s"],
     )
     return meta
+
+
+def _build_segment(
+    name: str,
+    spec: list,
+    index_dir: str,
+    schema: IndexSchema,
+    num_shards: int,
+) -> SegmentMeta:
+    """One segment through both steps, nothing else in flight (appends)."""
+    import ray
+
+    tok = ray.put(Tokenizer(schema, num_shards=num_shards))
+    columns = _source_columns(schema, spec[0].path)
+    return _finish_segment(_submit_segment(name, spec, index_dir, num_shards, columns, tok))

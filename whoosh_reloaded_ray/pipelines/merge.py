@@ -25,12 +25,13 @@ partition map (query/exec.py dense_index/all_docnums).
 from __future__ import annotations
 
 import logging
+import time
 from functools import lru_cache
 
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .._rayutil import consume_fault_flag, remote_task
+from .._rayutil import consume_fault_flag, counters, remote_task, sum_counters
 from ..stages.segment_write import DOCLENS_FILE, POSTINGS_FILE, TERMINFO_FILE, _atomic_write
 from ..state.manifest import Manifest, SegmentMeta, clean_files, commit_manifest, load_manifest
 
@@ -69,7 +70,8 @@ def select_merge_small(segments: list) -> tuple[list, list]:
 
 def _merge_shard(index_dir: str, seg_names: list, new_name: str, shard: int) -> dict:
     """Merge one shard across victim segments: block-row concat + terminfo
-    re-aggregation + doclens concat.  Returns {n_terms, n_postings}.
+    re-aggregation + doclens concat.  Returns {n_terms, n_postings} and the
+    task's counters (postings written, file bytes).
 
     A task of its own (``merge_segments``): every write is atomic and the
     output byte-deterministic, so Ray's retry after a worker death rewrites
@@ -79,6 +81,7 @@ def _merge_shard(index_dir: str, seg_names: list, new_name: str, shard: int) -> 
     # fault-injection hook (tests only; see _rayutil.consume_fault_flag): a
     # flag file at the index root crashes exactly one merge task's worker
     consume_fault_flag(storage.join(index_dir, ".fault_crash_merger"))
+    t0 = time.perf_counter()
 
     out_dir = storage.join(index_dir, new_name)
 
@@ -87,6 +90,7 @@ def _merge_shard(index_dir: str, seg_names: list, new_name: str, shard: int) -> 
         return [p for p in ps if storage.exists(p)]
 
     stats = {"n_terms": 0, "n_postings": 0}
+    nbytes = 0
 
     post_files = paths(POSTINGS_FILE)
     if post_files:
@@ -96,7 +100,9 @@ def _merge_shard(index_dir: str, seg_names: list, new_name: str, shard: int) -> 
             sort_keys=[("field", "ascending"), ("term", "ascending"), ("doc_min", "ascending")],
         )
         blocks = blocks.take(order)
-        _atomic_write(blocks, storage.join(out_dir, POSTINGS_FILE.format(shard=shard)))
+        nbytes += _atomic_write(
+            blocks, storage.join(out_dir, POSTINGS_FILE.format(shard=shard))
+        )
         stats["n_postings"] = int(pc.sum(blocks["count"]).as_py() or 0)
 
     ti_files = paths(TERMINFO_FILE)
@@ -124,7 +130,7 @@ def _merge_shard(index_dir: str, seg_names: list, new_name: str, shard: int) -> 
         agg = agg.take(
             pc.sort_indices(agg, sort_keys=[("field", "ascending"), ("term", "ascending")])
         )
-        _atomic_write(agg, storage.join(out_dir, TERMINFO_FILE.format(shard=shard)))
+        nbytes += _atomic_write(agg, storage.join(out_dir, TERMINFO_FILE.format(shard=shard)))
         stats["n_terms"] = agg.num_rows
 
     dl_files = paths(DOCLENS_FILE)
@@ -133,9 +139,9 @@ def _merge_shard(index_dir: str, seg_names: list, new_name: str, shard: int) -> 
         dl = dl.take(
             pc.sort_indices(dl, sort_keys=[("docnum", "ascending"), ("field", "ascending")])
         )
-        _atomic_write(dl, storage.join(out_dir, DOCLENS_FILE.format(shard=shard)))
+        nbytes += _atomic_write(dl, storage.join(out_dir, DOCLENS_FILE.format(shard=shard)))
 
-    return stats
+    return {**stats, "counters": counters(stats["n_postings"], nbytes, t0)}
 
 
 def merge_segments(index_dir: str, victims: list, new_name: str) -> SegmentMeta:
@@ -159,6 +165,7 @@ def merge_segments(index_dir: str, victims: list, new_name: str) -> SegmentMeta:
     for s in victims:
         for f, ln in s.field_lengths.items():
             field_lengths[f] = field_lengths.get(f, 0) + ln
+    merge = sum_counters(st["counters"] for st in summary)
     return SegmentMeta(
         name=new_name,
         doc_base=min(s.doc_base for s in victims),
@@ -168,6 +175,7 @@ def merge_segments(index_dir: str, victims: list, new_name: str) -> SegmentMeta:
         field_lengths=field_lengths,
         n_terms=sum(st["n_terms"] for st in summary),
         n_postings=sum(st["n_postings"] for st in summary),
+        metrics={"index_bytes": merge["bytes"], "merge": merge},
     )
 
 

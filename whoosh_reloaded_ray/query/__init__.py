@@ -45,7 +45,6 @@ from .collectors import (  # noqa: F401
     TopFieldCollector,
     VectorCollector,
 )
-from .parser import MultifieldParser, QueryParser  # noqa: F401
 
 # The reference's SpanNear2 (ordered window chain over a list of queries,
 # spans.py:530-700) is exactly our Sequence node.
@@ -55,3 +54,13 @@ SpanNear2 = Sequence
 from .ast import Or as DefaultOr  # noqa: F401,E402
 from .ast import Or as PreloadedOr  # noqa: F401,E402
 from .ast import Or as SplitOr  # noqa: F401,E402
+
+
+def __getattr__(name):
+    # the query-string parsers load on first use: segment actors import
+    # this package to evaluate parsed queries and never parse a string
+    if name in ("QueryParser", "MultifieldParser"):
+        from . import parser
+
+        return getattr(parser, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -54,10 +54,10 @@ TERMINFO_FILE = "terminfo-{shard:04d}.parquet"
 DOCLENS_FILE = "doclens-{shard:04d}.parquet"
 
 
-def _atomic_write(tbl: pa.Table, path: str, row_group_size: int = 8192):
+def _atomic_write(tbl: pa.Table, path: str, row_group_size: int = 8192) -> int:
     from ..state import storage
 
-    storage.write_parquet_atomic(tbl, path, row_group_size=row_group_size)
+    return storage.write_parquet_atomic(tbl, path, row_group_size=row_group_size)
 
 
 _binary_from_offsets = binary_array_from_offsets
@@ -74,11 +74,13 @@ class ShardWriteResult:
     shard: int
     n_terms: int
     n_postings: int
+    bytes: int  # of the postings and terminfo files
 
 
 class ShardSegmentWriter:
     """Build write task body: one call = one shard's full posting set
-    (POSTING_SCHEMA rows, any order) -> that shard's files + a summary row."""
+    (POSTING_SCHEMA rows, any order) -> that shard's files + a summary row
+    (its term, posting and file byte counts and per-field length sums)."""
 
     def __init__(self, seg_dir: str):
         self.seg_dir = seg_dir
@@ -95,7 +97,7 @@ class ShardSegmentWriter:
 
         consume_fault_flag(self._fault_flag)
         if group.num_rows == 0:
-            return _summary_table(-1, None, "{}")
+            return _summary_table(-1, None, "{}", 0)
         shard = int(group["shard"][0].as_py())
         group = group.combine_chunks()
 
@@ -107,6 +109,7 @@ class ShardSegmentWriter:
         # per-field length sums ride back in the summary row so the driver
         # never has to re-scan the doclens parquet for avgfl totals
         fl_json = "{}"
+        dl_bytes = 0
         if doclens.num_rows:
             dl_sort = pc.sort_indices(
                 doclens, sort_keys=[("docnum", "ascending"), ("field", "ascending")]
@@ -120,7 +123,9 @@ class ShardSegmentWriter:
                     "len_byte": doclens["len_byte"],
                 }
             )
-            _atomic_write(dl_tbl, _storage_join(self.seg_dir, DOCLENS_FILE.format(shard=shard)))
+            dl_bytes = _atomic_write(
+                dl_tbl, _storage_join(self.seg_dir, DOCLENS_FILE.format(shard=shard))
+            )
             agg = dl_tbl.group_by("field").aggregate([("length", "sum")])
             fl_json = json.dumps(
                 {
@@ -133,7 +138,7 @@ class ShardSegmentWriter:
             )
 
         result = self._write_postings(shard, posts) if posts.num_rows else None
-        return _summary_table(shard, result, fl_json)
+        return _summary_table(shard, result, fl_json, dl_bytes)
 
     def _write_postings(self, shard: int, posts: pa.Table) -> ShardWriteResult:
         order = pc.sort_indices(
@@ -249,7 +254,9 @@ class ShardSegmentWriter:
                 "payload": payload_col,
             }
         )
-        _atomic_write(blk, _storage_join(self.seg_dir, POSTINGS_FILE.format(shard=shard)))
+        nbytes = _atomic_write(
+            blk, _storage_join(self.seg_dir, POSTINGS_FILE.format(shard=shard))
+        )
 
         # --- terminfo (per-term stats)
         ti = pa.table(
@@ -267,12 +274,14 @@ class ShardSegmentWriter:
                 "max_len_byte": pa.array(np.maximum.reduceat(lens, term_starts), type=pa.uint8()),
             }
         )
-        _atomic_write(ti, _storage_join(self.seg_dir, TERMINFO_FILE.format(shard=shard)))
-        return ShardWriteResult(shard=shard, n_terms=n_terms, n_postings=n)
+        nbytes += _atomic_write(
+            ti, _storage_join(self.seg_dir, TERMINFO_FILE.format(shard=shard))
+        )
+        return ShardWriteResult(shard=shard, n_terms=n_terms, n_postings=n, bytes=nbytes)
 
 
 def _summary_table(
-    shard: int, result: ShardWriteResult | None, fl_json: str
+    shard: int, result: ShardWriteResult | None, fl_json: str, dl_bytes: int
 ) -> pa.Table:
     # one row per non-empty shard (postings and/or doclens); empty groups
     # return a zero-row table with the same schema
@@ -289,6 +298,9 @@ def _summary_table(
             ),
             "field_lengths_json": pa.array(
                 [fl_json for _ in rows], type=pa.string()
+            ),
+            "bytes": pa.array(
+                [dl_bytes + (result.bytes if result else 0) for _ in rows], type=pa.int64()
             ),
         }
     )

@@ -37,8 +37,9 @@ class SegmentMeta:
     field_lengths: dict  # field -> total TRUE token count (for avgfl)
     n_terms: int = 0
     n_postings: int = 0
-    # build metrics for observability/resume audits: wall seconds, posting
-    # bytes written, rows/s (north-rule: per-partition lineage AND metrics)
+    # the counters its tasks returned, summed per stage ("map" and "write",
+    # or "merge"): rows, bytes and busy seconds; and "index_bytes", the
+    # bytes of its files (north-rule: per-partition lineage AND metrics)
     metrics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:

@@ -384,14 +384,16 @@ def parquet_file(path: str, metadata=None):
     return pq.ParquetFile(f.open_input_file(p), metadata=metadata)
 
 
-def write_parquet_atomic(tbl, path: str, row_group_size: int = 8192) -> None:
+def write_parquet_atomic(tbl, path: str, row_group_size: int = 8192) -> int:
+    """Write ``tbl`` to ``path`` through a temporary file and a rename;
+    returns the file's size in bytes."""
     import pyarrow.parquet as pq
 
     if not is_uri(path):
         tmp = f"{path}.tmp-{os.getpid()}"
         pq.write_table(tbl, tmp, row_group_size=row_group_size)
         os.replace(tmp, path)
-        return
+        return os.path.getsize(path)
     f, p = resolve(path)
     try:
         tmp = f"{p}.tmp-{os.getpid()}"
@@ -399,3 +401,4 @@ def write_parquet_atomic(tbl, path: str, row_group_size: int = 8192) -> None:
         f.move(tmp, p)
     except NotImplementedError:
         pq.write_table(tbl, p, filesystem=f, row_group_size=row_group_size)
+    return getsize(path)
