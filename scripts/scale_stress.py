@@ -14,8 +14,13 @@ Every phase runs in a FRESH subprocess that owns its own Ray session, so
 Usage:
   python scripts/scale_stress.py                 # full run
   python scripts/scale_stress.py --turns 500000  # smoke
-Writes /tmp/wrr_scale10x/report.json and prints the report; paste the
-summary into BASELINE.md (see the round-5 block there).
+  python scripts/scale_stress.py --work DIR      # another work directory
+Works in ``--work`` (default ``.scale_stress/`` in the checkout, so two
+checkouts measured in turn never share a directory), writes
+``<work>/report.json`` and prints the report; paste the summary into
+BASELINE.md (see the round-5 block there).  The corpus is generated once
+per turn count, seed and chunk count: a later run with the same three
+reuses ``<work>/corpus-<turns>`` and skips the gen phase.
 """
 
 from __future__ import annotations
@@ -32,7 +37,8 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if REPO not in sys.path:
     sys.path.insert(0, REPO)
 
-WORK = "/tmp/wrr_scale10x"
+WORK = os.path.join(REPO, ".scale_stress")
+SEED = 42  # corpus seed
 
 
 def _rss_mb() -> float:
@@ -75,15 +81,41 @@ def _init_ray(num_cpus: int):
 # ---------------------------------------------------------------------------
 
 
-def phase_gen(turns: int, cpus: int) -> dict:
+def _corpus_dir(work: str, turns: int) -> str:
+    return os.path.join(work, f"corpus-{turns}")
+
+
+def _corpus_key(turns: int, cpus: int) -> dict:
+    """What a generated corpus is made from; its marker file holds it."""
+    return {"turns": turns, "seed": SEED, "chunks": max(64, cpus * 2)}
+
+
+def _corpus_ready(work: str, turns: int, cpus: int) -> bool:
+    """Whether ``work`` holds a finished corpus made from these inputs."""
+    try:
+        with open(os.path.join(_corpus_dir(work, turns), "corpus.json")) as f:
+            return json.load(f) == _corpus_key(turns, cpus)
+    except (OSError, ValueError):
+        return False
+
+
+def phase_gen(turns: int, cpus: int, work: str) -> dict:
+    """Generate the corpus into an empty directory; the marker is written
+    last, so an interrupted run is never taken for a finished one (and
+    files of another seed are never mixed in)."""
+    import shutil
+
     from whoosh_reloaded_ray.sources.corpus import generate_transcripts_distributed
 
     _init_ray(cpus)
+    out = _corpus_dir(work, turns)
+    shutil.rmtree(out, ignore_errors=True)
+    key = _corpus_key(turns, cpus)
     t0 = time.perf_counter()
-    files = generate_transcripts_distributed(
-        os.path.join(WORK, f"corpus-{turns}"), turns, n_chunks=max(64, cpus * 2)
-    )
+    files = generate_transcripts_distributed(out, turns, n_chunks=key["chunks"], seed=SEED)
     el = time.perf_counter() - t0
+    with open(os.path.join(out, "corpus.json"), "w") as f:
+        json.dump(key, f)
     return {
         "turns": turns,
         "files": len(files),
@@ -93,7 +125,8 @@ def phase_gen(turns: int, cpus: int) -> dict:
     }
 
 
-def phase_build(turns: int, cpus: int, index_dir: str, rows_per_segment: int = 0) -> dict:
+def phase_build(turns: int, cpus: int, work: str, index_dir: str,
+                rows_per_segment: int = 0) -> dict:
     """rows_per_segment=0 -> ONE segment spanning the corpus (the naive
     config: its term-shard exchange spans all postings at once — measured
     11.2k turns/s with 29.6 GiB of object-store spill at 10M turns, with
@@ -110,7 +143,7 @@ def phase_build(turns: int, cpus: int, index_dir: str, rows_per_segment: int = 0
     from whoosh_reloaded_ray.pipelines.build import build_index
 
     _init_ray(cpus)
-    files = sorted(glob.glob(os.path.join(WORK, f"corpus-{turns}", "part-*.parquet")))
+    files = sorted(glob.glob(os.path.join(_corpus_dir(work, turns), "part-*.parquet")))
     if os.path.exists(index_dir):
         shutil.rmtree(index_dir)
     t0 = time.perf_counter()
@@ -166,8 +199,8 @@ def phase_query(index_dir: str, cpus: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _run_phase(name: str, cpus: int, **kw) -> dict:
-    outp = os.path.join(WORK, f"phase-{name}-{cpus}.json")
+def _run_phase(name: str, cpus: int, work: str, **kw) -> dict:
+    outp = os.path.join(work, f"phase-{name}-{cpus}.json")
     args = [
         sys.executable,
         os.path.abspath(__file__),
@@ -177,6 +210,8 @@ def _run_phase(name: str, cpus: int, **kw) -> dict:
         str(cpus),
         "--out",
         outp,
+        "--work",
+        work,
     ]
     for k, v in kw.items():
         args += [f"--{k}", str(v)]
@@ -197,17 +232,21 @@ def main():
     ap.add_argument("--skip-scaling", action="store_true")
     ap.add_argument("--_phase", dest="phase")
     ap.add_argument("--out")
-    ap.add_argument("--index-dir", default=os.path.join(WORK, "index"))
+    ap.add_argument("--work", default=WORK,
+                    help="work directory: corpus, indexes, phase outputs, report")
+    ap.add_argument("--index-dir", help="default: <work>/index")
     ap.add_argument("--rows-per-segment", type=int, default=0)
     args = ap.parse_args()
+    args.work = os.path.abspath(args.work)
+    args.index_dir = args.index_dir or os.path.join(args.work, "index")
 
     if args.phase:
         import ray
 
         fn = {
-            "gen": lambda: phase_gen(args.turns, args.cpus),
+            "gen": lambda: phase_gen(args.turns, args.cpus, args.work),
             "build": lambda: phase_build(
-                args.turns, args.cpus, args.index_dir, args.rows_per_segment
+                args.turns, args.cpus, args.work, args.index_dir, args.rows_per_segment
             ),
             "query": lambda: phase_query(args.index_dir, args.cpus),
         }[args.phase]
@@ -218,25 +257,31 @@ def main():
             ray.shutdown()
         return
 
-    os.makedirs(WORK, exist_ok=True)
+    os.makedirs(args.work, exist_ok=True)
     # bounded-segment default: ~4 segments at the full 10M size — build
     # keeps at most two segments in flight, so in-flight exchange state is
     # at most half of the corpus; 0 would mean one corpus-spanning exchange
     # (29.6 GiB spill at 10M, measured with the former Ray Data groupby)
     rps = args.rows_per_segment or max(args.turns // 4, 250_000)
     report = {"turns": args.turns}
-    report["gen"] = _run_phase("gen", args.cpus, turns=args.turns)
+    if _corpus_ready(args.work, args.turns, args.cpus):
+        report["gen"] = {"reused": _corpus_dir(args.work, args.turns)}
+        print(f"== gen: reusing {report['gen']['reused']}", flush=True)
+    else:
+        report["gen"] = _run_phase("gen", args.cpus, args.work, turns=args.turns)
     report["build"] = _run_phase(
-        "build", args.cpus, turns=args.turns,
+        "build", args.cpus, args.work, turns=args.turns,
         **{"index-dir": args.index_dir, "rows-per-segment": rps},
     )
-    report["query"] = _run_phase("query", args.cpus, **{"index-dir": args.index_dir})
+    report["query"] = _run_phase(
+        "query", args.cpus, args.work, **{"index-dir": args.index_dir}
+    )
 
     if not args.skip_scaling:
         lo, hi = args.scale_cpus
         b_lo = _run_phase(
-            "build", lo, turns=args.turns,
-            **{"index-dir": os.path.join(WORK, f"index-{lo}"), "rows-per-segment": rps},
+            "build", lo, args.work, turns=args.turns,
+            **{"index-dir": os.path.join(args.work, f"index-{lo}"), "rows-per-segment": rps},
         )
         r_lo = args.turns / b_lo["build_sec"]
         r_hi = report["build"]["turns_per_sec"]
@@ -249,7 +294,7 @@ def main():
             "efficiency": (r_hi / r_lo) / (hi / lo),
         }
 
-    with open(os.path.join(WORK, "report.json"), "w") as f:
+    with open(os.path.join(args.work, "report.json"), "w") as f:
         json.dump(report, f, indent=1)
     print(json.dumps(report))
 

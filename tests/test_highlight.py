@@ -313,7 +313,6 @@ def test_fancy_analyzer_chars_payload_highlights(ray_session, tmp_path):
     """A chars=True field analyzed by fancy_analyzer stores the Characters
     payload, so highlight_hit marks the matched word on both executors."""
     import pyarrow as pa
-    import ray
 
     from whoosh_reloaded_ray.functions.analysis import fancy_analyzer
     from whoosh_reloaded_ray.pipelines.build import build_index
@@ -336,8 +335,7 @@ def test_fancy_analyzer_chars_payload_highlights(ray_session, tmp_path):
         for s in (local, rays):
             assert hl.highlight_hit(s, 0, "text", q) == "connected connecting CONNECTS"
     finally:
-        for w in rays.workers:
-            ray.kill(w)
+        rays.close()
 
 
 def _install_fake_genshi(monkeypatch):

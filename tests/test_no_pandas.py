@@ -231,8 +231,7 @@ def test_segment_actors_never_import_pandas(idx_dir):
         ])
         assert len(loaded) == 2 and not any(loaded)
     finally:
-        for w in s.workers:
-            s._ray.kill(w)
+        s.close()
 
 
 def test_segment_actors_never_import_the_query_parser(idx_dir):
@@ -253,8 +252,7 @@ def test_segment_actors_never_import_the_query_parser(idx_dir):
         ])
         assert len(loaded) == 2 and not any(loaded)
     finally:
-        for w in s.workers:
-            s._ray.kill(w)
+        s.close()
 
 
 # ---- the static rule ------------------------------------------------------------

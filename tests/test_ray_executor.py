@@ -95,13 +95,6 @@ def test_actor_call_args_pickle_by_reference(idx_dir):
         np.testing.assert_allclose(a["score"].to_numpy(), b["score"].to_numpy(), atol=0)
 
 
-def _kill(searcher):
-    import ray
-
-    for w in searcher.workers:
-        ray.kill(w)
-
-
 def test_each_search_is_one_fanout(idx_dir):
     """A term, prefix, wildcard or range search makes exactly one call per
     worker: expansion and doc frequencies are answered on the driver, for
@@ -133,7 +126,7 @@ def test_each_search_is_one_fanout(idx_dir):
             assert s.fanout.calls == calls, s.executor
         assert rays.fanout.ms > 0
     finally:
-        _kill(rays)
+        rays.close()
 
 
 def test_fanout_first_ms_is_the_first_fanout(idx_dir):
@@ -153,7 +146,7 @@ def test_fanout_first_ms_is_the_first_fanout(idx_dir):
         # the first round trip starts two actor processes; a warm one does not
         assert rays.fanout.first_ms > rays.fanout.ms - rays.fanout.first_ms
     finally:
-        _kill(rays)
+        rays.close()
 
 
 def _driver_side_answers(s, vocab) -> list:
@@ -206,7 +199,7 @@ def test_driver_statistics_match_local_before_and_after_delete(idx_dir, tmp_path
             assert (hits.num_rows == 0) == deleted
             assert rays.doc_frequency("text", gone) == local.doc_frequency("text", gone) > 0
         finally:
-            _kill(rays)
+            rays.close()
         if not deleted:
             df_before = local.doc_frequency("text", gone)
     assert local.doc_frequency("text", gone) == df_before

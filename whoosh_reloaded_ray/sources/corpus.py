@@ -50,9 +50,12 @@ class Partition:
 def plan_partitions(paths, target_rows: int = 250_000) -> list:
     """Plan partitions from parquet footers; assign docnum bases by prefix sum.
 
-    Row groups are coalesced up to ``target_rows`` per partition so small
-    files don't explode the task count; a row group is never split (keeps the
-    docnum<->row mapping trivial)."""
+    Consecutive row groups of one file are coalesced up to ``target_rows``
+    per partition; a row group is never split (keeps the docnum<->row
+    mapping trivial).  A partition never spans files, so every file is at
+    least one partition whatever ``target_rows`` says: many small files
+    make as many map tasks.  Coalescing small files across files is
+    ROADMAP item 6, step 2."""
     parts = []
     base = 0
     for path in sorted(paths):

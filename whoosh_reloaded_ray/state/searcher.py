@@ -19,9 +19,10 @@ Two executors, one fan-out path (``IndexSearcher._partials``):
   * local  — one in-process worker over every segment (tests, small
     indexes, and the driver-gate queries);
   * ray    — an actor pool, each actor pinning a disjoint set of segments
-    with warm caches (terminfo/postings/doclens).  Each search is one
-    fan-out: one message, ``(method, args)`` pickled once, sent to each
-    actor's single entry point ``_SegmentWorker.call``.  This is the
+    with warm caches (terminfo/postings/doclens), by default one actor
+    per ``POSTINGS_PER_ACTOR`` postings (``actor_groups``).  Each search
+    is one fan-out: one message, ``(method, args)`` pickled once, sent to
+    each actor's single entry point ``_SegmentWorker.call``.  This is the
     query-side scale path: segments partition the doc space, so adding
     nodes adds segment actors.
 Either way each worker returns one partial per call and the driver merges
@@ -129,6 +130,9 @@ class _SegmentWorker:
         # like the reference's doc_count_all; they are filtered from every
         # result set at evaluation time)
         self.excluded = man.load_tombstones(index_dir)
+        # process CPU when the last call ended: each call reports the CPU
+        # since, so Ray's share of the actor is that less the call's own
+        self._cpu_mark = time.process_time()
 
     def node_id(self) -> str:
         """Ray node this worker landed on (placement probes)."""
@@ -141,9 +145,19 @@ class _SegmentWorker:
 
     def call(self, msg: bytes):
         """The actor entry point: run the ``(method, args)`` message that
-        ``IndexSearcher._partials`` packed once for its whole fan-out."""
+        ``IndexSearcher._partials`` packed once for its whole fan-out.
+        Returns ``(partial, split)``: ``split`` is this call's process CPU
+        in seconds as (unpickle, engine, process), ``process`` being the
+        actor's CPU since its previous call ended (or since it started).
+        Ray serialises the partial after the call returns, so that work
+        is in the next call's ``process``, not in this call's parts."""
+        c0 = time.process_time()
         method, args = pickle.loads(msg)
-        return getattr(self, method)(*args)
+        c1 = time.process_time()
+        out = getattr(self, method)(*args)
+        c2 = time.process_time()
+        mark, self._cpu_mark = self._cpu_mark, c2
+        return out, (c1 - c0, c2 - c1, c2 - mark)
 
     def doc_values(self, field: str, docnums) -> tuple:
         """(docnums, values) arrays for the SORTED ``docnums`` owned by
@@ -482,6 +496,48 @@ def _sum_partials(parts) -> dict:
     return out
 
 
+# Postings per segment actor for the ray executor's default actor count.
+# A second actor halves each actor's engine time, so it saves half the
+# engine time on a query's wall time, and costs one more call's Ray floor
+# in CPU: one more actor pays when the engine time per query is more than
+# twice the floor.  Measured on a 4-vCPU VM, Ray 2.49 at 4 CPUs, five
+# runs (median run shown), perfbench's query set warm (4 queries of each
+# kind, 10 passes), indexes built as perfbench builds them (4,096-turn
+# segments, 8 shards):
+#   * floor: an empty call on one actor, 0.65 ms of driver CPU (pack +
+#     wait + merge) + 0.70 ms of actor CPU (actor_ms) = 1.35 ms;
+#   * engine CPU per query (FanoutStats.engine_ms, local executor):
+#     8,192 turns, 249,596 postings: 0.72 ms; 65,536 turns, 1,999,390
+#     postings: 4.35 ms; 204,800 turns, 6,245,056 postings: 13.3 ms;
+#     a least-squares line through them: 0.17 ms + 0.21 ms per 100k
+#     postings.
+# Engine = 2 x floor at 1.20M postings (five runs: 1.13M-1.46M).
+POSTINGS_PER_ACTOR = 1_200_000
+
+
+def actor_groups(segments, cpus: int, num_actors: int | None = None) -> list:
+    """Segment indices (into ``segments``) held by each actor of a ray
+    searcher, one list per actor.
+
+    The count is ``num_actors`` when given, else one actor per
+    ``POSTINGS_PER_ACTOR`` postings of the index, rounded up, and at most
+    ``cpus // 2``; either way at least one and at most one per segment.
+    Segments go largest first (by ``n_postings``) to the actor holding the
+    fewest postings so far, and each actor keeps its segments in manifest
+    order, the order its WAND threshold threads through them."""
+    if num_actors is None:
+        total = sum(s.n_postings for s in segments)
+        num_actors = min(-(-total // POSTINGS_PER_ACTOR), max(1, cpus // 2))
+    num_actors = max(1, min(num_actors, len(segments)))
+    groups: list = [[] for _ in range(num_actors)]
+    load = [0] * num_actors
+    for i in sorted(range(len(segments)), key=lambda i: -segments[i].n_postings):
+        a = min(range(num_actors), key=lambda a: (load[a], len(groups[a]), a))
+        groups[a].append(i)
+        load[a] += segments[i].n_postings
+    return [sorted(g) for g in groups if g]
+
+
 _FANOUT_LOCK = threading.Lock()
 
 
@@ -492,20 +548,58 @@ class FanoutStats:
     the local executor), ``msg_bytes`` (packed messages, once per fan-out;
     0 on the local executor), ``ms`` (round-trip wall time) and
     ``first_ms`` (the first fan-out's wall time, None before it: on the
-    ray executor it includes the new actors' start and cold reads)."""
+    ray executor it includes the new actors' start and cold reads).
+
+    The rest split the fan-outs' process CPU time (``time.process_time``,
+    every thread of the process), in ms summed over fan-outs.  On the
+    driver: ``pack_ms`` (pickling the message), ``wait_ms`` (submitting
+    the calls and ``ray.get``, Ray's work on the driver) and ``merge_ms``
+    (the caller's merge of the partials, ``search``'s top-k and result
+    table).  In the workers, summed over calls: ``unpickle_ms`` and
+    ``engine_ms`` (the worker method), which make up ``in_call_ms``, and
+    ``actor_ms``, each actor process's CPU from its previous call's end to
+    this one's; ``ray_actor_ms`` = ``actor_ms`` - ``in_call_ms`` is Ray's
+    share in the actors.  The local executor runs its worker in the
+    driver: ``engine_ms`` and ``actor_ms`` hold that call, and ``pack_ms``,
+    ``wait_ms`` and ``unpickle_ms`` stay 0, so no millisecond is counted
+    on both sides."""
 
     calls: int = 0
     msg_bytes: int = 0
     ms: float = 0.0
     first_ms: float | None = None
+    pack_ms: float = 0.0
+    wait_ms: float = 0.0
+    merge_ms: float = 0.0
+    unpickle_ms: float = 0.0
+    engine_ms: float = 0.0
+    actor_ms: float = 0.0
 
-    def add(self, calls: int, msg_bytes: int, secs: float) -> None:
+    @property
+    def in_call_ms(self) -> float:
+        return self.unpickle_ms + self.engine_ms
+
+    @property
+    def ray_actor_ms(self) -> float:
+        return self.actor_ms - self.in_call_ms
+
+    def add(self, calls: int, msg_bytes: int, secs: float, driver: tuple,
+            splits: list) -> None:
+        """One fan-out: its wall ``secs``, the driver's (pack, wait, merge)
+        CPU seconds and each call's ``_SegmentWorker.call`` split."""
         with _FANOUT_LOCK:  # threads may share one searcher
             if self.first_ms is None:
                 self.first_ms = secs * 1e3
             self.calls += calls
             self.msg_bytes += msg_bytes
             self.ms += secs * 1e3
+            self.pack_ms += driver[0] * 1e3
+            self.wait_ms += driver[1] * 1e3
+            self.merge_ms += driver[2] * 1e3
+            for unpickle, engine, process in splits:
+                self.unpickle_ms += unpickle * 1e3
+                self.engine_ms += engine * 1e3
+                self.actor_ms += process * 1e3
 
 
 class TimeLimitExceeded(Exception):
@@ -537,7 +631,9 @@ class IndexSearcher:
     ):
         """``weighting``: "bm25f" (default) | "tfidf" | "frequency" |
         "dfree" | "pl2" | "fn" (with ``weighting_fn(field, term, docnum,
-        weight) -> score``, the reference's FunctionWeighting hook)."""
+        weight) -> score``, the reference's FunctionWeighting hook).
+        ``num_actors``: the ray executor's actor count, by default sized
+        to the index's postings (:func:`actor_groups`)."""
         self.index_dir = index_dir
         self.manifest = manifest or load_manifest(index_dir)
         if self.manifest is None:
@@ -556,15 +652,14 @@ class IndexSearcher:
         # this object's lifetime; bounded LRU caps driver memory
         self._ctx_cache: OrderedDict = OrderedDict()
         self.fanout = FanoutStats()
-        n_seg = len(self.manifest.segments)
         if executor == "ray":
             import ray
 
-            if num_actors is None:
-                # size the pool to the cluster like the build path does —
-                # a fixed default starves large clusters
-                num_actors = max(2, int(ray.cluster_resources().get("CPU", 4)) // 2)
-            num_actors = min(num_actors, max(n_seg, 1))
+            groups = actor_groups(
+                self.manifest.segments,
+                int(ray.cluster_resources().get("CPU", 4)),
+                num_actors,
+            )
             # workers are pure snapshot readers over an immutable index:
             # restart re-runs __init__ from the (small, driver-held)
             # constructor args and a retried evaluate/stats task returns
@@ -577,14 +672,27 @@ class IndexSearcher:
                 # multi-node cluster's aggregate cache/IO is used
                 Actor = Actor.options(scheduling_strategy=scheduling_strategy)
             mdict = self.manifest.to_dict()
-            groups = [list(range(i, n_seg, num_actors)) for i in range(num_actors)]
-            groups = [g for g in groups if g]
             self.workers = [Actor.remote(index_dir, mdict, g) for g in groups]
             self._ray = ray
         else:
             self.local = _SegmentWorker(
-                index_dir, self.manifest.to_dict(), list(range(n_seg))
+                index_dir, self.manifest.to_dict(), list(range(len(self.manifest.segments)))
             )
+
+    def close(self) -> None:
+        """Stop this searcher's segment actors now, not when it is
+        collected.  Idempotent; a no-op on the local executor.  A ray
+        searcher cannot search once closed."""
+        if self.executor == "ray":
+            workers, self.workers = self.workers, []
+            for w in workers:
+                self._ray.kill(w)
+
+    def __enter__(self) -> "IndexSearcher":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # ---- global stats ----------------------------------------------------
 
@@ -1198,15 +1306,18 @@ class IndexSearcher:
             forbidden = storage.as_numpy(self.search(mask, limit=None, scored=False)["docnum"])
         q = self._rewrite(q)
         ctx = self._context(q)
-        parts = self._partials(
-            "evaluate", q, ctx, limit, scored, allowed, forbidden, deadline
+        res, complete = self._partials(
+            "evaluate", q, ctx, limit, scored, allowed, forbidden, deadline,
+            merge=lambda parts: (
+                self._format_results(
+                    np.concatenate([p[0] for p in parts]),
+                    np.concatenate([p[1] for p in parts]),
+                    limit,
+                ),
+                all(p[2] for p in parts),
+            ),
         )
-        res = self._format_results(
-            np.concatenate([p[0] for p in parts]),
-            np.concatenate([p[1] for p in parts]),
-            limit,
-        )
-        if not all(p[2] for p in parts):
+        if not complete:
             raise TimeLimitExceeded(res)
         return res
 
@@ -1246,25 +1357,43 @@ class IndexSearcher:
         vals = np.concatenate([p[1] for p in parts])
         return vals[np.argsort(docs, kind="stable")]
 
-    def _partials(self, method: str, *args) -> list:
+    def _partials(self, method: str, *args, merge=None):
         """Run one ``_SegmentWorker`` method on every worker and return the
-        list of partials.  On the ray executor ``(method, args)`` is
-        pickled once into one message, and each actor gets one
-        ``_SegmentWorker.call`` with it; the partials come back as Ray
-        returns them.  The local executor makes one in-process call.
-        Every worker operation goes through here, so this is the one place
-        that knows the executor; each fan-out is counted in
-        ``self.fanout``."""
+        list of partials, or ``merge(partials)`` when ``merge`` is given.
+        On the ray executor ``(method, args)`` is pickled once into one
+        message, and each actor gets one ``_SegmentWorker.call`` with it;
+        the partials come back as Ray returns them.  The local executor
+        makes one in-process call.  Every worker operation goes through
+        here, so this is the one place that knows the executor; each
+        fan-out and its CPU split are counted in ``self.fanout``."""
         t0 = time.perf_counter()
+        c0 = time.process_time()
         if self.executor == "ray":
+            if not self.workers:
+                raise RuntimeError(
+                    f"no segment actors on {self.index_dir}: the searcher is "
+                    "closed or the index has no segments"
+                )
             msg = self._ray.cloudpickle.dumps((method, args))
             nbytes = len(msg)
-            parts = self._ray.get([w.call.remote(msg) for w in self.workers])
+            c1 = time.process_time()
+            replies = self._ray.get([w.call.remote(msg) for w in self.workers])
+            c2 = time.process_time()
+            parts = [r[0] for r in replies]
+            splits = [r[1] for r in replies]
+            pack, wait = c1 - c0, c2 - c1
         else:
             nbytes = 0
             parts = [getattr(self.local, method)(*args)]
-        self.fanout.add(len(parts), nbytes, time.perf_counter() - t0)
-        return parts
+            c2 = time.process_time()
+            # the in-process call is the worker's CPU, not the driver's
+            splits = [(0.0, c2 - c0, c2 - c0)]
+            pack = wait = 0.0
+        t1 = time.perf_counter()
+        out = parts if merge is None else merge(parts)
+        driver = (pack, wait, time.process_time() - c2)
+        self.fanout.add(len(parts), nbytes, t1 - t0, driver, splits)
+        return out
 
     def search_sorted(
         self, q: ast.Query, sortedby, limit: int | None = None, reverse: bool = False
