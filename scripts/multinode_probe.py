@@ -10,7 +10,8 @@ far as a single machine allows:
   (workers import the uploaded copy; the repo path is NOT injected);
 - the full index build pipeline (map and write tasks across both raylets);
 - the ray-executor searcher with segment actors placed on BOTH nodes
-  (SPREAD scheduling), verified against the local executor's results;
+  (SPREAD scheduling), verified against the local executor's results,
+  each actor's channel listening on its own node's IP;
 - with --fs-uri, the index lives behind a pyarrow.fs URI (file://<tmp>)
   instead of a plain path, proving the remote-storage seam
   (state/storage.py) end to end: manifest commit/read, segment shard
@@ -91,12 +92,18 @@ def main():
         assert a["docnum"].to_pylist() == b["docnum"].to_pylist(), probes[i]
         assert a["score"].to_pylist() == b["score"].to_pylist(), probes[i]
         checked += 1
+    # each actor's channel listens on the IP of the node it landed on
+    node_ip = {n["NodeID"]: n["NodeManagerAddress"] for n in nodes}
+    hosts = [addr[0] for addr in ray.get(s._addrs)]
+    assert hosts == [node_ip[n] for n in placed], (hosts, placed)
+    s.close()
     out = {
         "nodes": len(nodes),
         "actor_nodes": len(set(placed)),
         "build_sec": round(build_s, 2),
         "turns": 20_000,
         "queries_verified": checked,
+        "channel_hosts": sorted(set(hosts)),
         "py_modules_packaged": True,
         "index_dir_scheme": "file://" if use_fs_uri else "local-path",
     }

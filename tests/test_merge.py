@@ -9,6 +9,8 @@ preserved exactly.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -124,3 +126,22 @@ def test_optimize_merges_to_one(multi_segment_index):
     after = s1.search(Term("text", t1), limit=None)
     np.testing.assert_array_equal(before["docnum"].to_numpy(), after["docnum"].to_numpy())
     np.testing.assert_allclose(before["score"].to_numpy(), after["score"].to_numpy())
+
+
+def test_merge_raises_on_a_lost_shard_file(ray_session, tmp_path):
+    """A victim's shard file that its ``SegmentMeta.files`` lists but that
+    is gone makes the merge raise, naming the file, and commits nothing;
+    it is never merged as an empty shard."""
+    from whoosh_reloaded_ray.pipelines.build import build_index
+
+    path = str(tmp_path / "t.parquet")
+    generate_transcripts(path, n_turns=48, avg_turn_words=25, seed=9, rows_per_file=8)
+    idx_dir = str(tmp_path / "idx")
+    build_index([path], idx_dir, num_shards=4, partition_rows=8, rows_per_segment=8)
+    man0 = load_manifest(idx_dir)
+    seg = man0.segments[2]
+    name = next(f for f in seg.files if f.startswith("terminfo-"))
+    os.remove(os.path.join(idx_dir, seg.name, name))
+    with pytest.raises(FileNotFoundError, match=name):
+        maybe_merge(idx_dir, optimize=True)
+    assert load_manifest(idx_dir).generation == man0.generation

@@ -244,3 +244,60 @@ def test_missing_postings_file_raises(index, tmp_path):
     assert s.search(Term("text", intact), limit=None).num_rows > 0
     with pytest.raises(FileNotFoundError, match="postings-0001.parquet"):
         s.search(Term("text", held), limit=None)
+
+
+@pytest.mark.parametrize("executor", ["local", "ray"])
+@pytest.mark.parametrize("kind", ["postings", "terminfo", "doclens"])
+def test_lost_shard_file_raises(index, tmp_path, executor, kind):
+    """Every shard file a segment lists in ``SegmentMeta.files`` must be
+    there: a deleted postings, terminfo or doclens file makes the next
+    search that needs it raise, naming the file, on either executor,
+    rather than read as an empty shard."""
+    import shutil
+
+    from whoosh_reloaded_ray.query import Every, Term
+    from whoosh_reloaded_ray.state.searcher import IndexSearcher
+
+    d = str(tmp_path / "idx")
+    shutil.copytree(index, d)
+    (seg,) = load_manifest(d).segments
+    name = f"{kind}-0001.parquet"
+    assert name in seg.files
+    seg_dir = _reader(d).dir
+    # a term held in shard 1 needs its terminfo and postings; Every needs
+    # every shard's doclens
+    q = Every("text") if kind == "doclens" else Term("text", _text_terms(seg_dir, 1)[0])
+    os.remove(os.path.join(seg_dir, name))
+    with IndexSearcher(d, executor=executor, num_actors=1) as s:
+        with pytest.raises(FileNotFoundError, match=name):
+            s.search(q, limit=None)
+
+
+def test_unlisted_shard_files_read_as_empty(index, tmp_path, reads):
+    """A shard file ``SegmentMeta.files`` does not list is an empty shard,
+    answered without a read; a manifest without the list (written before
+    it) reads a missing shard file as empty, as it always did."""
+    import shutil
+
+    from whoosh_reloaded_ray.query import Term
+    from whoosh_reloaded_ray.state.searcher import IndexSearcher
+
+    d = str(tmp_path / "idx")
+    shutil.copytree(index, d)
+    man = load_manifest(d)
+    (seg,) = man.segments
+    seg_dir = _reader(d).dir
+    term = _text_terms(seg_dir, 1)[0]
+    hits = IndexSearcher(d).search(Term("text", term), limit=None).num_rows
+    assert hits > 0
+
+    seg.files = [f for f in seg.files if not f.endswith("-0001.parquet")]
+    r = SegmentReader(d, seg)
+    del reads[:]
+    assert r.terminfo("text", term) is None
+    assert reads == []
+
+    seg.files = None
+    os.remove(os.path.join(seg_dir, "terminfo-0001.parquet"))
+    s = IndexSearcher(d, manifest=man)
+    assert s.search(Term("text", term), limit=None).num_rows == 0

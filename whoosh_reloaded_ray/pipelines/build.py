@@ -342,6 +342,7 @@ def _finish_segment(flight: _Flight) -> SegmentMeta:
         field_lengths=field_lengths,
         n_terms=sum(s["n_terms"] for s in summary),
         n_postings=sum(s["n_postings"] for s in summary),
+        files=sorted(f for s in summary for f in s["files"]),
         metrics={"index_bytes": write["bytes"], "map": sum_counters(maps), "write": write},
     )
     logger.info(

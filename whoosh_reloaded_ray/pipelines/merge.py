@@ -68,10 +68,16 @@ def select_merge_small(segments: list) -> tuple[list, list]:
     return [], segments
 
 
-def _merge_shard(index_dir: str, seg_names: list, new_name: str, shard: int) -> dict:
+def _merge_shard(
+    index_dir: str, seg_names: list, seg_files: list, new_name: str, shard: int
+) -> dict:
     """Merge one shard across victim segments: block-row concat + terminfo
-    re-aggregation + doclens concat.  Returns {n_terms, n_postings} and the
-    task's counters (postings written, file bytes).
+    re-aggregation + doclens concat.  ``seg_files`` is each victim's
+    ``SegmentMeta.files``: a listed file is read, so a lost one raises
+    rather than merging as an empty shard; a victim without the list
+    (an older manifest) reads the files it has.  Returns {n_terms, n_postings}, the
+    names of the files it wrote and the task's counters (postings written,
+    file bytes).
 
     A task of its own (``merge_segments``): every write is atomic and the
     output byte-deterministic, so Ray's retry after a worker death rewrites
@@ -86,11 +92,13 @@ def _merge_shard(index_dir: str, seg_names: list, new_name: str, shard: int) -> 
     out_dir = storage.join(index_dir, new_name)
 
     def paths(tmpl):
-        ps = [storage.join(index_dir, s, tmpl.format(shard=shard)) for s in seg_names]
-        return [p for p in ps if storage.exists(p)]
+        name = tmpl.format(shard=shard)
+        ps = [(storage.join(index_dir, s, name), files) for s, files in zip(seg_names, seg_files)]
+        return [p for p, files in ps if (storage.exists(p) if files is None else name in files)]
 
     stats = {"n_terms": 0, "n_postings": 0}
     nbytes = 0
+    files = []
 
     post_files = paths(POSTINGS_FILE)
     if post_files:
@@ -103,6 +111,7 @@ def _merge_shard(index_dir: str, seg_names: list, new_name: str, shard: int) -> 
         nbytes += _atomic_write(
             blocks, storage.join(out_dir, POSTINGS_FILE.format(shard=shard))
         )
+        files.append(POSTINGS_FILE.format(shard=shard))
         stats["n_postings"] = int(pc.sum(blocks["count"]).as_py() or 0)
 
     ti_files = paths(TERMINFO_FILE)
@@ -131,6 +140,7 @@ def _merge_shard(index_dir: str, seg_names: list, new_name: str, shard: int) -> 
             pc.sort_indices(agg, sort_keys=[("field", "ascending"), ("term", "ascending")])
         )
         nbytes += _atomic_write(agg, storage.join(out_dir, TERMINFO_FILE.format(shard=shard)))
+        files.append(TERMINFO_FILE.format(shard=shard))
         stats["n_terms"] = agg.num_rows
 
     dl_files = paths(DOCLENS_FILE)
@@ -140,8 +150,9 @@ def _merge_shard(index_dir: str, seg_names: list, new_name: str, shard: int) -> 
             pc.sort_indices(dl, sort_keys=[("docnum", "ascending"), ("field", "ascending")])
         )
         nbytes += _atomic_write(dl, storage.join(out_dir, DOCLENS_FILE.format(shard=shard)))
+        files.append(DOCLENS_FILE.format(shard=shard))
 
-    return {**stats, "counters": counters(stats["n_postings"], nbytes, t0)}
+    return {**stats, "files": files, "counters": counters(stats["n_postings"], nbytes, t0)}
 
 
 def merge_segments(index_dir: str, victims: list, new_name: str) -> SegmentMeta:
@@ -156,9 +167,12 @@ def merge_segments(index_dir: str, victims: list, new_name: str) -> SegmentMeta:
 
     storage.makedirs(storage.join(index_dir, new_name))
     names = [s.name for s in victims]
+    files = [s.files for s in victims]
 
     task = remote_task(_merge_shard)
-    summary = ray.get([task.remote(index_dir, names, new_name, k) for k in range(num_shards)])
+    summary = ray.get(
+        [task.remote(index_dir, names, files, new_name, k) for k in range(num_shards)]
+    )
 
     parts = sorted((p for s in victims for p in s.partitions), key=lambda p: p.base)
     field_lengths: dict = {}
@@ -175,6 +189,7 @@ def merge_segments(index_dir: str, victims: list, new_name: str) -> SegmentMeta:
         field_lengths=field_lengths,
         n_terms=sum(st["n_terms"] for st in summary),
         n_postings=sum(st["n_postings"] for st in summary),
+        files=sorted(f for st in summary for f in st["files"]),
         metrics={"index_bytes": merge["bytes"], "merge": merge},
     )
 

@@ -440,16 +440,28 @@ class SegmentReader:
     def _footer(self, path: str):
         """(footer, per-row-group ``[field min, field max, term min, term
         max]``) of one shard file, or None for a shard file the segment
-        does not have (an empty shard).  A segment whose directory is gone
-        (its generation garbage-collected under an open searcher) raises
-        instead of reading as empty."""
+        does not have (an empty shard): one ``SegmentMeta.files`` does not
+        list, read without touching storage, or, in a manifest without
+        that list, one that is absent.  A listed file that is missing
+        raises, naming it, and so does a segment whose directory is gone
+        (its generation garbage-collected under an open searcher), rather
+        than reading as empty."""
         if path in self._footers:
             return self._footers[path]
+        listed = self.seg.files
+        if listed is not None and path.rsplit("/", 1)[-1] not in listed:
+            self._footers[path] = None
+            return None
         try:
             with storage.parquet_file(path) as pf:
                 md = pf.metadata
         except FileNotFoundError:
             self._check_segment_exists()
+            if listed is not None:
+                raise FileNotFoundError(
+                    f"shard file {path} is missing, but segment "
+                    f"{self.seg.name} lists it among the files it wrote"
+                ) from None
             self._footers[path] = None
             return None
         names = md.schema.names

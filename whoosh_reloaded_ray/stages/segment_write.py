@@ -80,7 +80,8 @@ class ShardWriteResult:
 class ShardSegmentWriter:
     """Build write task body: one call = one shard's full posting set
     (POSTING_SCHEMA rows, any order) -> that shard's files + a summary row
-    (its term, posting and file byte counts and per-field length sums)."""
+    (its term, posting and file byte counts, per-field length sums and the
+    names of the files it wrote)."""
 
     def __init__(self, seg_dir: str):
         self.seg_dir = seg_dir
@@ -97,7 +98,7 @@ class ShardSegmentWriter:
 
         consume_fault_flag(self._fault_flag)
         if group.num_rows == 0:
-            return _summary_table(-1, None, "{}", 0)
+            return _summary_table(-1, None, "{}", 0, [])
         shard = int(group["shard"][0].as_py())
         group = group.combine_chunks()
 
@@ -110,6 +111,7 @@ class ShardSegmentWriter:
         # never has to re-scan the doclens parquet for avgfl totals
         fl_json = "{}"
         dl_bytes = 0
+        files = []
         if doclens.num_rows:
             dl_sort = pc.sort_indices(
                 doclens, sort_keys=[("docnum", "ascending"), ("field", "ascending")]
@@ -126,6 +128,7 @@ class ShardSegmentWriter:
             dl_bytes = _atomic_write(
                 dl_tbl, _storage_join(self.seg_dir, DOCLENS_FILE.format(shard=shard))
             )
+            files.append(DOCLENS_FILE.format(shard=shard))
             agg = dl_tbl.group_by("field").aggregate([("length", "sum")])
             fl_json = json.dumps(
                 {
@@ -137,8 +140,11 @@ class ShardSegmentWriter:
                 sort_keys=True,
             )
 
-        result = self._write_postings(shard, posts) if posts.num_rows else None
-        return _summary_table(shard, result, fl_json, dl_bytes)
+        result = None
+        if posts.num_rows:
+            result = self._write_postings(shard, posts)
+            files += [POSTINGS_FILE.format(shard=shard), TERMINFO_FILE.format(shard=shard)]
+        return _summary_table(shard, result, fl_json, dl_bytes, files)
 
     def _write_postings(self, shard: int, posts: pa.Table) -> ShardWriteResult:
         order = pc.sort_indices(
@@ -281,7 +287,8 @@ class ShardSegmentWriter:
 
 
 def _summary_table(
-    shard: int, result: ShardWriteResult | None, fl_json: str, dl_bytes: int
+    shard: int, result: ShardWriteResult | None, fl_json: str, dl_bytes: int,
+    files: list,
 ) -> pa.Table:
     # one row per non-empty shard (postings and/or doclens); empty groups
     # return a zero-row table with the same schema
@@ -302,5 +309,6 @@ def _summary_table(
             "bytes": pa.array(
                 [dl_bytes + (result.bytes if result else 0) for _ in rows], type=pa.int64()
             ),
+            "files": pa.array([files for _ in rows], type=pa.list_(pa.string())),
         }
     )

@@ -41,6 +41,10 @@ class SegmentMeta:
     # or "merge"): rows, bytes and busy seconds; and "index_bytes", the
     # bytes of its files (north-rule: per-partition lineage AND metrics)
     metrics: dict = field(default_factory=dict)
+    # names of the shard files its tasks wrote (an empty shard writes
+    # none): a listed file that is missing is an error, not an empty
+    # shard.  None in manifests written before the list.
+    files: list | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -53,6 +57,7 @@ class SegmentMeta:
             "n_terms": self.n_terms,
             "n_postings": self.n_postings,
             "metrics": self.metrics,
+            "files": self.files,
         }
 
     @staticmethod

@@ -22,9 +22,11 @@ Two executors, one fan-out path (``IndexSearcher._partials``):
     with warm caches (terminfo/postings/doclens), by default one actor
     per ``POSTINGS_PER_ACTOR`` postings (``actor_groups``).  Each search
     is one fan-out: one message, ``(method, args)`` pickled once, sent to
-    each actor's single entry point ``_SegmentWorker.call``.  This is the
-    query-side scale path: segments partition the doc space, so adding
-    nodes adds segment actors.
+    each actor's single entry point ``_SegmentWorker.call`` over one
+    long-lived authenticated connection per actor (its channel), not as
+    a Ray actor call.  Ray places, starts, restarts and kills the actors.
+    This is the query-side scale path: segments partition the doc space,
+    so adding nodes adds segment actors.
 Either way each worker returns one partial per call and the driver merges
 the partials once.  For block-max WAND top-k a worker threads its pruning
 threshold (theta) across its own segments; workers do not share theta.
@@ -35,11 +37,16 @@ from __future__ import annotations
 import math
 import os
 import pickle
+import secrets
+import socket
 import threading
 import time
+import traceback
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
+from multiprocessing import AuthenticationError
+from multiprocessing.connection import Client, Listener
 
 import numpy as np
 import pyarrow as pa
@@ -110,6 +117,42 @@ def shared_reader(index_dir: str, seg) -> SegmentReader:
         return r
 
 
+# A fan-out that meets a lost channel is resent at most this many times,
+# as a Ray actor call was retried (max_task_retries).
+FANOUT_RETRIES = 4
+
+
+def _nodelay(conn) -> None:
+    """Send every write of a channel at once.  Without TCP_NODELAY the
+    first message after the auth handshake's last small write waits for
+    the peer's delayed ACK (Nagle), about 40 ms."""
+    with socket.socket(fileno=os.dup(conn.fileno())) as s:
+        s.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
+def _close_all(conns: list) -> None:
+    """Close and forget a searcher's channels."""
+    for c in conns:
+        c.close()
+    conns.clear()
+
+
+def _error_reply(e: BaseException) -> bytes:
+    """The pickled ``(False, e)`` reply of a call that raised ``e``, with
+    the actor's traceback as a note; a ``RuntimeError`` carrying that
+    traceback when ``e`` does not survive a pickle round trip."""
+    import ray
+
+    tb = "".join(traceback.format_exception(e))
+    try:
+        e.add_note(f"raised in a segment actor:\n{tb}")
+        blob = ray.cloudpickle.dumps((False, e))
+        pickle.loads(blob)
+        return blob
+    except Exception:
+        return ray.cloudpickle.dumps((False, RuntimeError(f"segment actor error:\n{tb}")))
+
+
 class _SegmentWorker:
     """Holds SegmentReaders for a subset of segments (used in-process or as
     the body of a Ray actor), taken from the process-wide registry."""
@@ -131,8 +174,10 @@ class _SegmentWorker:
         # result set at evaluation time)
         self.excluded = man.load_tombstones(index_dir)
         # process CPU when the last call ended: each call reports the CPU
-        # since, so Ray's share of the actor is that less the call's own
+        # since, so the transport's share of the actor is that less the
+        # call's own
         self._cpu_mark = time.process_time()
+        self._listener = None
 
     def node_id(self) -> str:
         """Ray node this worker landed on (placement probes)."""
@@ -144,13 +189,15 @@ class _SegmentWorker:
             return "local"
 
     def call(self, msg: bytes):
-        """The actor entry point: run the ``(method, args)`` message that
-        ``IndexSearcher._partials`` packed once for its whole fan-out.
+        """The worker entry point: run the ``(method, args)`` message that
+        ``IndexSearcher._partials`` packed once for its whole fan-out; in
+        an actor it arrives over the channel (``open_channel``).
         Returns ``(partial, split)``: ``split`` is this call's process CPU
         in seconds as (unpickle, engine, process), ``process`` being the
         actor's CPU since its previous call ended (or since it started).
-        Ray serialises the partial after the call returns, so that work
-        is in the next call's ``process``, not in this call's parts."""
+        The channel pickles and sends the reply after the call returns, so
+        that work is in the next call's ``process``, not in this call's
+        parts."""
         c0 = time.process_time()
         method, args = pickle.loads(msg)
         c1 = time.process_time()
@@ -158,6 +205,50 @@ class _SegmentWorker:
         c2 = time.process_time()
         mark, self._cpu_mark = self._cpu_mark, c2
         return out, (c1 - c0, c2 - c1, c2 - mark)
+
+    def open_channel(self, key: bytes) -> tuple:
+        """The address of this actor's channel: a listener on its node's IP
+        that accepts connections authenticated with ``key`` (the
+        searcher's), started on the first call.  Each connection is served
+        by a daemon thread of its own that blocks in ``recv`` between
+        messages, so an idle actor uses no CPU."""
+        if self._listener is None:
+            import ray
+
+            self._listener = Listener((ray.util.get_node_ip_address(), 0), authkey=key)
+            threading.Thread(target=self._accept, daemon=True).start()
+        return self._listener.address
+
+    def _accept(self) -> None:
+        while True:
+            try:
+                conn = self._listener.accept()
+            except (AuthenticationError, EOFError, ConnectionError):
+                continue  # a wrong key or a dropped handshake
+            _nodelay(conn)
+            threading.Thread(target=self._serve, args=(conn,), daemon=True).start()
+
+    def _serve(self, conn) -> None:
+        """One channel: each message is a ``call``, answered with the
+        pickled ``(True, call's result)``, or ``(False, exception)`` if it
+        raised (cloudpickle, so user collectors' partials travel too).
+        Ends when the searcher closes the connection."""
+        import ray
+
+        with conn:
+            while True:
+                try:
+                    msg = conn.recv_bytes()
+                except (EOFError, OSError):
+                    return
+                try:
+                    reply = ray.cloudpickle.dumps((True, self.call(msg)))
+                except Exception as e:
+                    reply = _error_reply(e)
+                try:
+                    conn.send_bytes(reply)
+                except OSError:
+                    return
 
     def doc_values(self, field: str, docnums) -> tuple:
         """(docnums, values) arrays for the SORTED ``docnums`` owned by
@@ -548,21 +639,24 @@ class FanoutStats:
     the local executor), ``msg_bytes`` (packed messages, once per fan-out;
     0 on the local executor), ``ms`` (round-trip wall time) and
     ``first_ms`` (the first fan-out's wall time, None before it: on the
-    ray executor it includes the new actors' start and cold reads).
+    ray executor it includes the new actors' start, their channels'
+    set-up and cold reads).
 
     The rest split the fan-outs' process CPU time (``time.process_time``,
     every thread of the process), in ms summed over fan-outs.  On the
-    driver: ``pack_ms`` (pickling the message), ``wait_ms`` (submitting
-    the calls and ``ray.get``, Ray's work on the driver) and ``merge_ms``
-    (the caller's merge of the partials, ``search``'s top-k and result
-    table).  In the workers, summed over calls: ``unpickle_ms`` and
-    ``engine_ms`` (the worker method), which make up ``in_call_ms``, and
-    ``actor_ms``, each actor process's CPU from its previous call's end to
-    this one's; ``ray_actor_ms`` = ``actor_ms`` - ``in_call_ms`` is Ray's
-    share in the actors.  The local executor runs its worker in the
-    driver: ``engine_ms`` and ``actor_ms`` hold that call, and ``pack_ms``,
-    ``wait_ms`` and ``unpickle_ms`` stay 0, so no millisecond is counted
-    on both sides."""
+    driver: ``pack_ms`` (pickling the message), ``wait_ms`` (sending it
+    over every channel and receiving and unpickling the replies) and
+    ``merge_ms`` (the caller's merge of the partials, ``search``'s top-k
+    and result table).  In the workers, summed over calls: ``unpickle_ms``
+    and ``engine_ms`` (the worker method), which make up ``in_call_ms``,
+    and ``actor_ms``, each actor process's CPU from its previous call's
+    end to this one's; ``ray_actor_ms`` = ``actor_ms`` - ``in_call_ms`` is
+    the transport's share in the actors (pickling and sending the previous
+    reply, receiving this message, and Ray's own background work), no
+    longer Ray's call path, whose name it keeps.  The local executor runs
+    its worker in the driver: ``engine_ms`` and ``actor_ms`` hold that
+    call, and ``pack_ms``, ``wait_ms`` and ``unpickle_ms`` stay 0, so no
+    millisecond is counted on both sides."""
 
     calls: int = 0
     msg_bytes: int = 0
@@ -662,10 +756,10 @@ class IndexSearcher:
             )
             # workers are pure snapshot readers over an immutable index:
             # restart re-runs __init__ from the (small, driver-held)
-            # constructor args and a retried evaluate/stats task returns
-            # byte-identical results, so transparent actor restart + task
-            # retry is safe — a died worker (node loss, OOM kill) costs one
-            # query retry, not a failed search (tests/test_fault_injection)
+            # constructor args and a resent fan-out returns byte-identical
+            # results, so transparent actor restart + resend is safe — a
+            # died worker (node loss, OOM kill) costs one fan-out resend,
+            # not a failed search (tests/test_fault_injection)
             Actor = ray.remote(max_restarts=4, max_task_retries=4)(_SegmentWorker)
             if scheduling_strategy is not None:
                 # e.g. "SPREAD": place segment actors across nodes so a
@@ -674,16 +768,26 @@ class IndexSearcher:
             mdict = self.manifest.to_dict()
             self.workers = [Actor.remote(index_dir, mdict, g) for g in groups]
             self._ray = ray
+            # one channel per actor, opened on the first fan-out; the
+            # addresses are asked for now, so that fan-out does not wait
+            # on a second round of set-up
+            self._key = secrets.token_bytes(32)
+            self._addrs = [w.open_channel.remote(self._key) for w in self.workers]
+            self._conns: list = []
+            self._chan_lock = threading.Lock()
+            weakref.finalize(self, _close_all, self._conns)
         else:
             self.local = _SegmentWorker(
                 index_dir, self.manifest.to_dict(), list(range(len(self.manifest.segments)))
             )
 
     def close(self) -> None:
-        """Stop this searcher's segment actors now, not when it is
-        collected.  Idempotent; a no-op on the local executor.  A ray
-        searcher cannot search once closed."""
+        """Close this searcher's channels and stop its segment actors now,
+        not when it is collected.  Idempotent; a no-op on the local
+        executor.  A ray searcher cannot search once closed."""
         if self.executor == "ray":
+            with self._chan_lock:
+                _close_all(self._conns)
             workers, self.workers = self.workers, []
             for w in workers:
                 self._ray.kill(w)
@@ -1361,11 +1465,11 @@ class IndexSearcher:
         """Run one ``_SegmentWorker`` method on every worker and return the
         list of partials, or ``merge(partials)`` when ``merge`` is given.
         On the ray executor ``(method, args)`` is pickled once into one
-        message, and each actor gets one ``_SegmentWorker.call`` with it;
-        the partials come back as Ray returns them.  The local executor
-        makes one in-process call.  Every worker operation goes through
-        here, so this is the one place that knows the executor; each
-        fan-out and its CPU split are counted in ``self.fanout``."""
+        message, and each actor gets one ``_SegmentWorker.call`` with it
+        over its channel (``_fanout``).  The local executor makes one
+        in-process call.  Every worker operation goes through here, so
+        this is the one place that knows the executor; each fan-out and
+        its CPU split are counted in ``self.fanout``."""
         t0 = time.perf_counter()
         c0 = time.process_time()
         if self.executor == "ray":
@@ -1377,7 +1481,7 @@ class IndexSearcher:
             msg = self._ray.cloudpickle.dumps((method, args))
             nbytes = len(msg)
             c1 = time.process_time()
-            replies = self._ray.get([w.call.remote(msg) for w in self.workers])
+            replies = self._fanout(msg)
             c2 = time.process_time()
             parts = [r[0] for r in replies]
             splits = [r[1] for r in replies]
@@ -1394,6 +1498,43 @@ class IndexSearcher:
         driver = (pack, wait, time.process_time() - c2)
         self.fanout.add(len(parts), nbytes, t1 - t0, driver, splits)
         return out
+
+    def _fanout(self, msg: bytes) -> list:
+        """Each actor's ``call(msg)`` result, in actor order.  Under the
+        searcher's lock ``msg`` goes to every actor before any reply is
+        read, so the actors run in parallel and threads that share the
+        searcher never read each other's replies.
+
+        A lost channel (an actor died or was restarted) closes every
+        channel, asks each actor for its address again through Ray, which
+        waits for a restarted actor and raises ``RayActorError`` for a dead
+        one, and resends the whole fan-out (reads are idempotent), at most
+        ``FANOUT_RETRIES`` times.  An exception raised in an actor is raised
+        here with its own type, once every reply is read."""
+        with self._chan_lock:
+            for attempt in range(FANOUT_RETRIES + 1):
+                try:
+                    if not self._conns:
+                        for addr in self._ray.get(self._addrs):
+                            conn = Client(addr, authkey=self._key)
+                            _nodelay(conn)
+                            self._conns.append(conn)
+                    for conn in self._conns:
+                        conn.send_bytes(msg)
+                    replies = [pickle.loads(conn.recv_bytes()) for conn in self._conns]
+                    break
+                except (EOFError, OSError):
+                    _close_all(self._conns)
+                    if attempt == FANOUT_RETRIES:
+                        raise
+                    self._addrs = [w.open_channel.remote(self._key) for w in self.workers]
+                except BaseException:
+                    _close_all(self._conns)  # replies may be left unread
+                    raise
+        for ok, out in replies:
+            if not ok:
+                raise out
+        return [out for _, out in replies]
 
     def search_sorted(
         self, q: ast.Query, sortedby, limit: int | None = None, reverse: bool = False
