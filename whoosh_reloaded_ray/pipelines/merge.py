@@ -74,10 +74,10 @@ def _merge_shard(
     """Merge one shard across victim segments: block-row concat + terminfo
     re-aggregation + doclens concat.  ``seg_files`` is each victim's
     ``SegmentMeta.files``: a listed file is read, so a lost one raises
-    rather than merging as an empty shard; a victim without the list
-    (an older manifest) reads the files it has.  Returns {n_terms, n_postings}, the
-    names of the files it wrote and the task's counters (postings written,
-    file bytes).
+    rather than merging as an empty shard; a victim without the list (an
+    older manifest) reads the files it has.  Returns {n_terms,
+    n_postings}, the names of the files it wrote and the task's counters
+    (postings written, file bytes).
 
     A task of its own (``merge_segments``): every write is atomic and the
     output byte-deterministic, so Ray's retry after a worker death rewrites

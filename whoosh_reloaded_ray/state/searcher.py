@@ -651,9 +651,9 @@ class FanoutStats:
     and ``engine_ms`` (the worker method), which make up ``in_call_ms``,
     and ``actor_ms``, each actor process's CPU from its previous call's
     end to this one's; ``ray_actor_ms`` = ``actor_ms`` - ``in_call_ms`` is
-    the transport's share in the actors (pickling and sending the previous
-    reply, receiving this message, and Ray's own background work), no
-    longer Ray's call path, whose name it keeps.  The local executor runs
+    the transport's share in the actors, not Ray's despite its name:
+    pickling and sending the previous reply, receiving this message, and
+    Ray's own background work.  The local executor runs
     its worker in the driver: ``engine_ms`` and ``actor_ms`` hold that
     call, and ``pack_ms``, ``wait_ms`` and ``unpickle_ms`` stay 0, so no
     millisecond is counted on both sides."""
