@@ -36,6 +36,12 @@ def test_small_index_gets_one_actor():
     assert actor_groups(_segs(), cpus=16) == []
 
 
+def test_search_served_sized_index_gets_one_actor():
+    # perfbench's search_served index: 8,192 turns in two 4,096-turn
+    # segments, 249,596 postings, on 4 CPUs
+    assert actor_groups(_segs(124_517, 125_079), cpus=4) == [[0, 1]]
+
+
 def test_large_index_gets_min_of_cap_and_segments():
     big = searcher_mod.POSTINGS_PER_ACTOR * 100
     # cap = cpus // 2, at least 1

@@ -36,7 +36,6 @@ from ..stages.segment_write import (
     DOCLENS_FILE,
     POSTINGS_FILE,
     TERMINFO_FILE,
-    WEIGHTS_FLOAT32,
     WEIGHTS_VARINT,
 )
 from ..stages.tokenize import _shard_of
@@ -265,10 +264,13 @@ class PostingList:
 
 
 def _decode_posting_columns(t: pa.Table):
-    """Decode block rows -> (docs, weights, len_bytes, block_starts, counts).
+    """Decode block rows -> (docs, weights, len_bytes, block_starts, counts),
+    in one vectorized pass over every row of ``t``.
 
     Blocks are self-contained (first docnum absolute, per-block wflag), so
-    this works on ANY subset of a term's blocks in doc order."""
+    this works on ANY run of block rows in doc order: one term's blocks,
+    or a whole postings row group (``SegmentReader._row_group``), which a
+    term's rows then slice."""
     counts = storage.as_numpy(t["count"])
     n = int(counts.sum())
     block_starts = np.zeros(len(counts), dtype=np.int64)
@@ -282,24 +284,32 @@ def _decode_posting_columns(t: pa.Table):
     base[1:] = csum[block_starts[1:] - 1]
     docs = csum - np.repeat(base, counts)
 
-    # weights: wflag is per block (merged segments can mix encodings)
+    # weights: wflag is per block (merged segments can mix encodings); a
+    # mixed run decodes each encoding's bytes in one piece and scatters
+    # the values back to their postings
     wflags = storage.as_numpy(t["wflag"])
-    if (wflags == WEIGHTS_VARINT).all():
-        weights = decode_varints(storage.binary_values(t["weights"]), count=n).astype(np.float64)
-    elif (wflags == WEIGHTS_FLOAT32).all():
-        weights = np.frombuffer(storage.binary_values(t["weights"]), dtype="<f4").astype(np.float64)
+    raw = storage.binary_values(t["weights"])
+    varint = wflags == WEIGHTS_VARINT
+    if varint.all():
+        weights = decode_varints(raw, count=n).astype(np.float64)
+    elif not varint.any():
+        weights = raw.view("<f4").astype(np.float64)
     else:
+        blob_lens = storage.as_numpy(pc.binary_length(t["weights"]))
+        in_varint = np.repeat(varint, blob_lens)
+        at_varint = np.repeat(varint, counts)
         weights = np.empty(n, dtype=np.float64)
-        for b, blob in enumerate(storage.string_list(t["weights"])):
-            s, c = int(block_starts[b]), int(counts[b])
-            if wflags[b] == WEIGHTS_VARINT:
-                weights[s : s + c] = decode_varints(blob, count=c)
-            else:
-                weights[s : s + c] = np.frombuffer(blob, dtype="<f4")
+        weights[at_varint] = decode_varints(raw[in_varint], count=int(at_varint.sum()))
+        weights[~at_varint] = raw[~in_varint].view("<f4")
 
-    # a copy: a cached posting list must not pin its row group's buffers
-    lens = storage.binary_values(t["lens"]).copy()
+    lens = storage.binary_values(t["lens"])
     return docs, weights, lens, block_starts, counts
+
+
+# what one PostingList of a row group costs beside the decode it slices:
+# the object, its views and its empty caches (1.1 KB, measured with
+# tracemalloc), and its key in the row group's dict
+_PLIST_BYTES = 1200
 
 
 class _LRU:
@@ -330,21 +340,45 @@ class _LRU:
                 self.used -= old[1]
             self._d[key] = (value, nbytes)
             self.used += nbytes
-            while self.used > self.cap:
-                self.used -= self._d.popitem(last=False)[1][1]
+            self._evict()
+
+    def charge(self, key, nbytes: int) -> None:
+        """Add ``nbytes`` to the size of ``key``'s entry, if it is cached:
+        what its value has grown by since ``put``."""
+        with self._lock:
+            hit = self._d.get(key)
+            if hit is None:
+                return
+            self._d[key] = (hit[0], hit[1] + nbytes)
+            self.used += nbytes
+            self._evict()
+
+    def _evict(self) -> None:
+        while self.used > self.cap:
+            self.used -= self._d.popitem(last=False)[1][1]
 
 
 class _RowGroup:
     """One row group of a shard file as read: its table, each field's row
     span ``{field: (first row, end row)}``, the term keys (a list of str,
     None for doclens), and numpy views of its columns, each made on first
-    use (``col``) through ``storage.as_numpy``."""
+    use (``col``) through ``storage.as_numpy``.
 
-    __slots__ = ("table", "spans", "terms", "_cols")
+    A postings row group is decoded once, when it is read: ``postings``
+    holds ``_decode_posting_columns`` of all its rows (read-only arrays),
+    which replaces the encoded ``docs``/``weights``/``lens`` columns in
+    ``table``.  ``plists`` holds the posting lists sliced from it, one per
+    (field, term) whose block rows all lie in this row group, so they live
+    and die with the row group's entry in the reader's byte-bounded LRU
+    (``key``), which is charged for them."""
 
-    def __init__(self, table: pa.Table, spans: dict, terms):
-        self.table, self.spans, self.terms = table, spans, terms
+    __slots__ = ("key", "table", "spans", "terms", "_cols", "postings", "plists")
+
+    def __init__(self, key, table: pa.Table, spans: dict, terms, postings=None):
+        self.key, self.table, self.spans, self.terms = key, table, spans, terms
+        self.postings = postings
         self._cols: dict = {}
+        self.plists: dict = {}
 
     def col(self, name: str) -> np.ndarray:
         a = self._cols.get(name)
@@ -352,19 +386,34 @@ class _RowGroup:
             a = self._cols[name] = storage.as_numpy(self.table[name])
         return a
 
+    def posting_arrays(self, lo: int, hi: int) -> tuple:
+        """(docs, weights, len_bytes, block_starts, counts) of block rows
+        [lo, hi): read-only slices of the decode, block starts made
+        relative to the run's first posting."""
+        docs, weights, lens, starts, counts = self.postings
+        s = int(starts[lo])
+        e = int(starts[hi]) if hi < starts.size else docs.size
+        rel = starts[lo:hi] - s
+        rel.flags.writeable = False
+        return docs[s:e], weights[s:e], lens[s:e], rel, counts[lo:hi]
+
 
 class SegmentReader:
     """Reads one segment's terminfo/postings/doclens (cached).
 
     Each (shard file, row group) is read once, on first touch, and every
     later lookup is a binary search of its sorted term keys that returns a
-    run of rows (``_runs``): numpy views of the row group's columns, or a
-    zero-copy table slice (``_rows``), as whoosh keeps a segment's files
-    mapped and decodes term extents lazily.  A one-row-group shard file
-    (the usual size) is read whole; a larger one reads only the row groups
-    whose footer statistics may hold the term.  Nothing is read at open.
-    Arrow data becomes numpy only through ``storage``'s converters, so no
-    query imports pandas.
+    run of rows (``_runs``), read through numpy views of the row group's
+    columns, as whoosh keeps a segment's files mapped and decodes term
+    extents lazily.  A postings row group is also decoded once, whole, when
+    it is read (``_RowGroup``), as whoosh decodes a posting block in one
+    piece: ``postings`` returns a ``PostingList`` whose arrays are
+    read-only views of that decode (a copy for a term whose block rows
+    span row groups, or a list with positional blobs), so callers must not
+    write to them.  A one-row-group shard file (the usual size) is read
+    whole; a larger one reads only the row groups whose footer statistics
+    may hold the term.  Nothing is read at open.  Arrow data becomes numpy
+    only through ``storage``'s converters, so no query imports pandas.
 
     A searcher takes its readers from a process-wide registry
     (``state.searcher.shared_reader``), so each row group is read once per
@@ -375,8 +424,11 @@ class SegmentReader:
     def __init__(self, index_dir: str, seg: SegmentMeta):
         self.seg = seg
         self.dir = storage.join(index_dir, seg.name)
-        # bounded LRU: long-lived searcher actors see an open-ended query
-        # term stream at scale; decoded posting lists must not accumulate
+        # (file name template, shard) -> the shard file's path
+        self._paths: dict = {}
+        # bounded LRU of the posting lists a row group does not hold (a
+        # term across row groups, or with positional blobs): long-lived
+        # searcher actors see an open-ended query term stream at scale
         self._postings = _LRU(4096)
         self._terminfo_cache: dict = {}
         self._column_cache: dict = {}
@@ -384,8 +436,14 @@ class SegmentReader:
         # path -> (footer, per-row-group key bounds), None for a shard
         # file the segment does not have
         self._footers: dict = {}
-        # (path, row group) -> _RowGroup
+        # (path, row group) -> _RowGroup, charged for its table, decode
+        # and posting lists
         self._row_groups = _LRU(64 << 20)
+        # (field, term) -> (row group key, first row, end row) of a term
+        # whose block rows lie in one postings row group: where a warm
+        # lookup finds them without a search (keys only, so no row group
+        # is kept alive; bounded by the vocabulary, as _terminfo_cache)
+        self._block_rows: dict = {}
         self._all_docnums: "np.ndarray | None" = None
         # constant-score docsets (range / expanded-multiterm unions) are
         # recomputed per query otherwise; the reference Searcher keeps the
@@ -475,11 +533,19 @@ class SegmentReader:
         self._footers[path] = md, bounds
         return md, bounds
 
+    def _path(self, template: str, shard: int) -> str:
+        key = (template, shard)
+        path = self._paths.get(key)
+        if path is None:
+            path = self._paths[key] = storage.join(self.dir, template.format(shard=shard))
+        return path
+
     def _row_group(self, path: str, md, i: int) -> _RowGroup:
         """Row group ``i`` of ``path``, read on first touch.  Its rows are
         one run per field, in field order: terminfo and postings files are
         sorted by (field, term), and a doclens file, sorted by docnum, is
-        regrouped by field here (each field's rows keep docnum order)."""
+        regrouped by field here (each field's rows keep docnum order).  A
+        postings row group is decoded here, once."""
         hit = self._row_groups.get((path, i))
         if hit is None:
             try:
@@ -493,13 +559,24 @@ class SegmentReader:
             runs = sorted((r["values"], r["counts"]) for r in pc.value_counts(t["field"]).to_pylist())
             ends = np.cumsum([n for _, n in runs])
             spans = {f: (int(e - n), int(e)) for (f, n), e in zip(runs, ends)}
+            decoded = None
+            if "docs" in t.column_names:
+                decoded = _decode_posting_columns(t)
+                for a in decoded:
+                    a.flags.writeable = False
+                # the decode stands in for the encoded columns (its lens
+                # is a view that keeps that one buffer)
+                t = t.drop_columns(["docs", "weights", "lens"])
             nbytes = t.nbytes
+            if decoded is not None:
+                # counts is a view of the table's count column
+                nbytes += sum(a.nbytes for a in decoded[:4])
             if "term" in t.column_names:
                 terms = storage.string_list(t["term"])
                 # per key a list slot and a str header (8 + 49 bytes) beside
                 # its text, which the column's bytes stand in for
                 nbytes += t["term"].nbytes + 57 * len(terms)
-            hit = _RowGroup(t, spans, terms)
+            hit = _RowGroup((path, i), t, spans, terms, decoded)
             self._row_groups.put((path, i), hit, nbytes)
         return hit
 
@@ -511,7 +588,7 @@ class SegmentReader:
         rows in one shard file, with start <= term <= end when given
         (either end exclusive).  Row groups are chosen from the footer
         statistics, as a parquet filter on (field, term) chooses them."""
-        path = storage.join(self.dir, template.format(shard=shard))
+        path = self._path(template, shard)
         footer = self._footer(path)
         if footer is None:
             return []
@@ -536,10 +613,6 @@ class SegmentReader:
                 out.append((rg, lo, hi))
         return out
 
-    def _rows(self, *args, **kw) -> list:
-        """``_runs`` as zero-copy slices of the row group tables."""
-        return [rg.table.slice(lo, hi - lo) for rg, lo, hi in self._runs(*args, **kw)]
-
     # ---- terminfo ---------------------------------------------------------
 
     def terminfo(self, field: str, term: str):
@@ -548,8 +621,14 @@ class SegmentReader:
             return self._terminfo_cache[key]
         # a term has one terminfo row, in its one shard
         shard = _shard_of(field, term, self.seg.num_shards)
-        rows = self._rows(TERMINFO_FILE, shard, field, term, term)
-        info = {c: rows[0][c][0].as_py() for c in rows[0].column_names} if rows else None
+        info = None
+        runs = self._runs(TERMINFO_FILE, shard, field, term, term)
+        if runs:
+            rg, lo, _ = runs[0]
+            info = {
+                c: field if c == "field" else term if c == "term" else rg.col(c)[lo].item()
+                for c in rg.table.column_names
+            }
         self._terminfo_cache[key] = info
         return info
 
@@ -590,23 +669,25 @@ class SegmentReader:
         term, doc_min), so row group order is doc order.  A term its
         shard's terminfo lacks reads no postings file; one it holds must
         have a postings file."""
+        at = self._block_rows.get((field, term))
+        if at is not None:
+            rg = self._row_groups.get(at[0])
+            if rg is not None:
+                return [(rg, at[1], at[2])]
         shard = _shard_of(field, term, self.seg.num_shards)
         if not self._runs(TERMINFO_FILE, shard, field, term, term):
             return []
-        path = storage.join(self.dir, POSTINGS_FILE.format(shard=shard))
+        path = self._path(POSTINGS_FILE, shard)
         if self._footer(path) is None:
             raise FileNotFoundError(
                 f"postings file {path} is missing, but its shard's terminfo "
                 f"holds {field}:{term!r}"
             )
-        return self._runs(POSTINGS_FILE, shard, field, term, term)
-
-    def _read_blocks(self, field: str, term: str):
-        """Block rows of a term as one table, in doc order, or None."""
-        parts = [rg.table.slice(lo, hi - lo) for rg, lo, hi in self._block_runs(field, term)]
-        if len(parts) <= 1:
-            return parts[0] if parts else None
-        return pa.concat_tables(parts)
+        runs = self._runs(POSTINGS_FILE, shard, field, term, term)
+        if len(runs) == 1:
+            rg, lo, hi = runs[0]
+            self._block_rows[field, term] = (rg.key, lo, hi)
+        return runs
 
     def block_meta(self, field: str, term: str):
         """Per-block bound metadata for block-max WAND: dict of numpy arrays
@@ -628,8 +709,8 @@ class SegmentReader:
     def decode_blocks(self, field: str, term: str, keep: np.ndarray):
         """Postings of the selected blocks -> (docs, weights, len_bytes).
 
-        Decodes the term's FULL posting list once into the shared
-        postings cache, then answers every (re)query — WAND retries,
+        Takes the term's FULL posting list (``postings``: decoded once,
+        with its row group), then answers every (re)query — WAND retries,
         repeated searches on a warm searcher — with a pure numpy
         gather of the kept blocks' ranges."""
         plist = self.postings(field, term)
@@ -649,22 +730,53 @@ class SegmentReader:
         self, field: str, term: str, need_positions=False, need_chars=False,
         need_boosts=False, need_payload=False,
     ):
-        key = (field, term, need_positions, need_chars, need_boosts, need_payload)
+        """A term's ``PostingList`` in this segment, or None.  Its arrays
+        are read-only.  A term whose block rows lie in one row group (the
+        usual case) gets views of that row group's decode, kept on the row
+        group; one spanning row groups, or asked for positional blobs, gets
+        a copy, kept in the reader's posting-list LRU."""
+        needs = (need_positions, need_chars, need_boosts, need_payload)
+        runs = None
+        if not any(needs):
+            runs = self._block_runs(field, term)
+            if not runs:
+                return None
+            if len(runs) == 1:
+                rg, lo, hi = runs[0]
+                plist = rg.plists.get((field, term))
+                if plist is None:
+                    new = PostingList(*rg.posting_arrays(lo, hi))
+                    plist = rg.plists.setdefault((field, term), new)
+                    if plist is new:
+                        self._row_groups.charge(rg.key, _PLIST_BYTES)
+                return plist
+        key = (field, term, *needs)
         plist = self._postings.get(key)
-        if plist is None and not (need_positions or need_chars or need_boosts or need_payload):
-            plist = self._postings.get((field, term, True, False, False, False))
         if plist is not None:
             return plist
-        t = self._read_blocks(field, term)
-        if t is None:
+        if runs is None:
+            runs = self._block_runs(field, term)
+        if not runs:
             return None
+        parts = list(zip(*(rg.posting_arrays(lo, hi) for rg, lo, hi in runs)))
+        docs, weights, lens, _, counts = (np.concatenate(p) for p in parts)
+        block_starts = np.zeros(counts.size, dtype=np.int64)
+        np.cumsum(counts[:-1], out=block_starts[1:])
+        for a in (docs, weights, lens, block_starts, counts):
+            a.flags.writeable = False
+
         def blobs(col, need):
-            return storage.string_list(t[col]) if need and col in t.column_names else None
+            if not need or col not in runs[0][0].table.column_names:
+                return None
+            return [
+                v for rg, lo, hi in runs
+                for v in storage.string_list(rg.table[col].slice(lo, hi - lo))
+            ]
 
         plist = PostingList(
-            *_decode_posting_columns(t), blobs("positions", need_positions),
-            blobs("chars", need_chars), blobs("boosts", need_boosts),
-            blobs("payload", need_payload),
+            docs, weights, lens, block_starts, counts,
+            blobs("positions", need_positions), blobs("chars", need_chars),
+            blobs("boosts", need_boosts), blobs("payload", need_payload),
         )
         self._postings.put(key, plist, 1)
         return plist
@@ -915,7 +1027,8 @@ def term_scores(
     with different stats (other generation, hand-built) can never collide.
     User-function models are never cached (the fn isn't value-keyed).
     Callers must treat the returned array as READ-ONLY; the cache dies
-    with the PostingList (reader posting-cache LRU bounds memory)."""
+    with the PostingList (its row group's or the reader's posting-list
+    LRU entry)."""
     m = ctx.field_models.get(field, ctx.model)
     if m == "fn":
         s = _score_postings_fwd(
@@ -1011,7 +1124,7 @@ def _eval_and(reader, q: ast.And, ctx, scored):
         for n in negs:
             nd, _ = evaluate(reader, n.subquery, ctx, scored=False)
             if nd.size:
-                keep &= ~np.isin(docs, nd, assume_unique=True)
+                keep &= ~_sorted_isin(docs, nd)
         docs, scores = docs[keep], scores[keep]
         # each Not contributes a constant 1.0 — the reference's Not.matcher
         # builds InverseMatcher WITHOUT passing self.boost (wrappers.py:137-144,
@@ -1168,7 +1281,7 @@ def _eval_andnot(reader, q: ast.AndNot, ctx, scored):
     db, _ = evaluate(reader, q.b, ctx, scored=False)
     if da.size == 0 or db.size == 0:
         return _apply_boost((da, sa), q.boost)
-    keep = ~np.isin(da, db, assume_unique=True)
+    keep = ~_sorted_isin(da, db)
     if db[0] != da[0]:
         keep[0] = True
     return _apply_boost((da[keep], sa[keep]), q.boost)
@@ -1177,7 +1290,7 @@ def _eval_andnot(reader, q: ast.AndNot, ctx, scored):
 def _eval_require(reader, q: ast.Require, ctx, scored):
     da, sa = evaluate(reader, q.a, ctx, scored)
     db, _ = evaluate(reader, q.b, ctx, scored=False)
-    keep = np.isin(da, db, assume_unique=True)
+    keep = _sorted_isin(da, db)
     return _apply_boost((da[keep], sa[keep]), q.boost)
 
 
@@ -1250,7 +1363,7 @@ def _eval_phrase(reader, q: ast.Phrase, ctx, scored):
         if reach.size == 0:
             return EMPTY
     ok_docs = np.unique(reach >> np.uint64(32))
-    ok = np.isin(docs, ok_docs, assume_unique=True)
+    ok = _sorted_isin(docs, ok_docs)
     docs = docs[ok]
     if not scored:
         return docs, np.ones(docs.size)
@@ -1331,9 +1444,12 @@ def _seq_child_terms(reader, q) -> tuple:
 
 def _sorted_isin(cand: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Membership of ``cand`` in a SORTED unique ``table`` via one
-    searchsorted — avoids np.isin's internal concat+argsort."""
+    searchsorted: ``np.isin(cand, table)`` without its internal
+    concat+argsort, or, for a small table (a few tombstones), its compare
+    of every candidate against each table value in turn."""
     if table.size == 0 or cand.size == 0:
         return np.zeros(cand.size, dtype=bool)
+    table = table.astype(cand.dtype, copy=False)
     idx = np.searchsorted(table, cand)
     idx[idx == table.size] = table.size - 1
     return table[idx] == cand
@@ -1474,7 +1590,7 @@ def _collect_spans(reader, q) -> tuple:
     if isinstance(q, ast.SpanCondition):
         ask, aek = _collect_spans(reader, q.a)
         bdocs, _ = evaluate(reader, q.b, None, scored=False)
-        keep = np.isin(ask >> np.uint64(32), bdocs)
+        keep = _sorted_isin(ask >> np.uint64(32), bdocs)
         return ask[keep], aek[keep]
     keys = _seq_child_keys(reader, q)
     return keys, keys
@@ -1678,7 +1794,7 @@ def _eval_spannot(reader, q, ctx, scored):
     if not scored:
         return _apply_boost((docs, np.ones(docs.size)), q.boost)
     d, s = evaluate(reader, ast.AndMaybe(q.a, q.b), ctx, scored=True)
-    m = np.isin(d, docs, assume_unique=True)
+    m = _sorted_isin(d, docs)
     return _apply_boost((d[m], s[m]), q.boost)
 
 
@@ -1692,7 +1808,7 @@ def _eval_spanor(reader, q, ctx, scored):
     if not scored:
         return _apply_boost((docs, np.ones(docs.size)), q.boost)
     d, s = _union([evaluate(reader, sub, ctx, True) for sub in q.subqueries])
-    m = np.isin(d, docs, assume_unique=True)
+    m = _sorted_isin(d, docs)
     return _apply_boost((d[m], s[m]), q.boost)
 
 
@@ -1708,7 +1824,7 @@ def _eval_spancontains(reader, q, ctx, scored):
     d, s = _intersect(
         evaluate(reader, q.a, ctx, True), evaluate(reader, q.b, ctx, True)
     )
-    m = np.isin(d, docs, assume_unique=True)
+    m = _sorted_isin(d, docs)
     return _apply_boost((d[m], s[m]), q.boost)
 
 

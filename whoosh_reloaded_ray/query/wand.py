@@ -207,7 +207,7 @@ def topk_wand(
         if not keep.any():
             continue
         blocks_decoded += int(keep.sum())
-        from .exec import score_postings, term_scores
+        from .exec import _sorted_isin, score_postings, term_scores
 
         if keep.all():
             # full-list decode: per-posting scores are value-cached on the
@@ -226,10 +226,10 @@ def topk_wand(
         # scores are elementwise in the posting, so candidate filters
         # commute with scoring (masks copy; the cached array stays intact)
         if excluded is not None and docs.size:
-            m = ~np.isin(docs, excluded)
+            m = ~_sorted_isin(docs, excluded)
             docs, s = docs[m], s[m]
         if allowed is not None and docs.size:
-            m = np.isin(docs, allowed)
+            m = _sorted_isin(docs, allowed)
             docs, s = docs[m], s[m]
         if info["boost"] != 1.0:
             s = s * info["boost"]
@@ -301,7 +301,7 @@ def topk_dismax(
     theta = -inf (cold start) nothing is skipped — the hot path is a
     worker's later segments, where theta arrives pre-seeded from the
     segments it already evaluated."""
-    from .exec import score_postings, term_scores
+    from .exec import _sorted_isin, score_postings, term_scores
 
     infos = []
     for f, t, b in terms:
@@ -369,10 +369,10 @@ def topk_dismax(
     # still feed cursor contributions, matching the full evaluator (the
     # reference filters deletes at the collector, matchers see them)
     if excluded is not None and union.size:
-        m = ~np.isin(union, excluded)
+        m = ~_sorted_isin(union, excluded)
         union, best = union[m], best[m]
     if allowed is not None and union.size:
-        m = np.isin(union, allowed)
+        m = _sorted_isin(union, allowed)
         union, best = union[m], best[m]
     theta = initial_theta
     if best.size >= k:

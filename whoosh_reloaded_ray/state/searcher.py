@@ -52,7 +52,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..query import ast
-from ..query.exec import ScoreContext, SegmentReader, evaluate
+from ..query.exec import ScoreContext, SegmentReader, _sorted_isin, evaluate
 from ..state import storage
 from ..state.manifest import Manifest, load_manifest
 
@@ -281,7 +281,7 @@ class _SegmentWorker:
         for r in self.readers:
             docs, scores = evaluate(r, q, ctx, scored=scored)
             if excluded is not None:
-                m = ~np.isin(docs, excluded)
+                m = ~_sorted_isin(docs, excluded)
                 docs, scores = docs[m], scores[m]
             yield r, docs, scores
 
@@ -557,10 +557,10 @@ class _SegmentWorker:
             else:
                 docs, scores = evaluate(r, q, ctx, scored=scored)
                 if excluded is not None:
-                    m = ~np.isin(docs, excluded, assume_unique=False)
+                    m = ~_sorted_isin(docs, excluded)
                     docs, scores = docs[m], scores[m]
                 if allowed is not None:
-                    m = np.isin(docs, allowed)
+                    m = _sorted_isin(docs, allowed)
                     docs, scores = docs[m], scores[m]
                 if limit is not None and docs.size > limit:
                     top = _topk_cut(docs, scores, limit)
@@ -589,21 +589,23 @@ def _sum_partials(parts) -> dict:
 
 # Postings per segment actor for the ray executor's default actor count.
 # A second actor halves each actor's engine time, so it saves half the
-# engine time on a query's wall time, and costs one more call's Ray floor
-# in CPU: one more actor pays when the engine time per query is more than
+# engine time on a query's wall time, and costs one more call's floor in
+# CPU: one more actor pays when the engine time per query is more than
 # twice the floor.  Measured on a 4-vCPU VM, Ray 2.49 at 4 CPUs, five
 # runs (median run shown), perfbench's query set warm (4 queries of each
 # kind, 10 passes), indexes built as perfbench builds them (4,096-turn
-# segments, 8 shards):
-#   * floor: an empty call on one actor, 0.65 ms of driver CPU (pack +
-#     wait + merge) + 0.70 ms of actor CPU (actor_ms) = 1.35 ms;
-#   * engine CPU per query (FanoutStats.engine_ms, local executor):
-#     8,192 turns, 249,596 postings: 0.72 ms; 65,536 turns, 1,999,390
-#     postings: 4.35 ms; 204,800 turns, 6,245,056 postings: 13.3 ms;
-#     a least-squares line through them: 0.17 ms + 0.21 ms per 100k
-#     postings.
-# Engine = 2 x floor at 1.20M postings (five runs: 1.13M-1.46M).
-POSTINGS_PER_ACTOR = 1_200_000
+# segments, 8 shards), served over the channel by one actor:
+#   * floor: a query's channel cost, 0.29 ms of driver CPU (pack + wait +
+#     merge) + 0.17 ms of actor transport CPU (ray_actor_ms) per call =
+#     0.47 ms (an absent term's call: 0.14 + 0.08 = 0.22 ms);
+#   * engine CPU per query (FanoutStats.engine_ms, summed over actors):
+#     8,192 turns, 249,596 postings: 0.73 ms; 65,536 turns, 1,999,390
+#     postings: 4.39 ms; 204,800 turns, 6,245,056 postings: 14.1 ms;
+#     a least-squares line through them: 0.06 ms + 0.22 ms per 100k
+#     postings.  Two actors' summed engine CPU is 4-11% more on the same
+#     indexes (each starts its WAND threshold at -inf).
+# Engine = 2 x floor at 0.39M postings (five runs: 0.28M-0.45M).
+POSTINGS_PER_ACTOR = 400_000
 
 
 def actor_groups(segments, cpus: int, num_actors: int | None = None) -> list:
@@ -1404,10 +1406,11 @@ class IndexSearcher:
         like the reference's matcher-step checks)."""
         deadline = None if timelimit is None else time.time() + timelimit
         allowed = forbidden = None
+        # in docnum order: workers filter by sorted search (_sorted_isin)
         if filter is not None:
-            allowed = storage.as_numpy(self.search(filter, limit=None, scored=False)["docnum"])
+            allowed = np.sort(storage.as_numpy(self.search(filter, limit=None, scored=False)["docnum"]))
         if mask is not None:
-            forbidden = storage.as_numpy(self.search(mask, limit=None, scored=False)["docnum"])
+            forbidden = np.sort(storage.as_numpy(self.search(mask, limit=None, scored=False)["docnum"]))
         q = self._rewrite(q)
         ctx = self._context(q)
         res, complete = self._partials(
