@@ -117,6 +117,72 @@ def test_merger_death_mid_merge_identical_index(corpus, ray_session, tmp_path):
     assert merged("idx_fault", crash=True) == want, "recovered merge differs from clean merge"
 
 
+def _mixed_counts_index(corpus, idx, tmp_path):
+    """Three 4-shard segments, then a 200-row append sized to one shard and
+    one given two shards."""
+    import pyarrow.parquet as pq
+
+    from whoosh_reloaded_ray.pipelines import write_ops
+    from whoosh_reloaded_ray.pipelines.build import build_index
+    from whoosh_reloaded_ray.state.manifest import load_manifest
+
+    build_index([corpus], idx, num_shards=4, partition_rows=200, rows_per_segment=400)
+    batch = str(tmp_path / "batch.parquet")
+    if not os.path.exists(batch):
+        pq.write_table(pq.read_table(corpus).slice(0, 200), batch)
+    write_ops.append_documents(idx, [batch])
+    write_ops.append_documents(idx, [batch], num_shards=2)
+    assert [s.num_shards for s in load_manifest(idx).segments] == [4, 4, 4, 1, 2]
+
+
+def test_merger_death_mid_merge_across_shard_counts_identical_index(
+    corpus, ray_session, tmp_path, monkeypatch
+):
+    """A merge of 4-, 1- and 2-shard victims into 4 shards (one per 400
+    rows) whose worker dies mid-task gives the same files as a clean one:
+    the routed rows are as deterministic as a victim's own shard file."""
+    from whoosh_reloaded_ray.pipelines import build
+    from whoosh_reloaded_ray.pipelines.merge import maybe_merge
+
+    monkeypatch.setattr(build, "ROWS_PER_SHARD", 400)
+
+    def merged(name, crash):
+        idx = str(tmp_path / name)
+        _mixed_counts_index(corpus, idx, tmp_path)
+        flag = os.path.join(idx, ".fault_crash_merger")
+        if crash:
+            open(flag, "w").close()
+        man = maybe_merge(idx, optimize=True)
+        if crash:
+            assert not os.path.exists(flag), "flag not consumed — no worker died"
+            assert os.path.exists(flag + ".consumed"), "crash hook did not fire"
+            os.unlink(flag + ".consumed")  # not part of the index payload
+        assert len(man.segments) == 1 and man.doc_count == 1600
+        assert man.segments[0].num_shards == 4
+        return _tree_hashes(idx)
+
+    want = merged("idx_clean", crash=False)
+    assert merged("idx_fault", crash=True) == want, "recovered merge differs from clean merge"
+
+
+def test_merge_across_shard_counts_raises_on_a_lost_shard_file(corpus, ray_session, tmp_path):
+    """A 4-shard victim's listed shard file that is gone makes a merge into
+    one shard, which reads all of that victim's files, raise, naming the
+    file, and commit nothing."""
+    from whoosh_reloaded_ray.pipelines.merge import maybe_merge
+    from whoosh_reloaded_ray.state.manifest import load_manifest
+
+    idx = str(tmp_path / "idx")
+    _mixed_counts_index(corpus, idx, tmp_path)
+    man0 = load_manifest(idx)
+    seg = man0.segments[1]
+    name = next(f for f in seg.files if f.startswith("postings-0002"))
+    os.remove(os.path.join(idx, seg.name, name))
+    with pytest.raises(FileNotFoundError, match=name):
+        maybe_merge(idx, optimize=True)
+    assert load_manifest(idx).generation == man0.generation
+
+
 @pytest.fixture(scope="module")
 def idx_dir(corpus, ray_session, tmp_path_factory):
     from whoosh_reloaded_ray.pipelines.build import build_index

@@ -145,3 +145,124 @@ def test_merge_raises_on_a_lost_shard_file(ray_session, tmp_path):
     with pytest.raises(FileNotFoundError, match=name):
         maybe_merge(idx_dir, optimize=True)
     assert load_manifest(idx_dir).generation == man0.generation
+
+
+def test_shard_count_edges():
+    from whoosh_reloaded_ray.pipelines.build import ROWS_PER_SHARD, shard_count
+
+    assert shard_count(0, 8) == 1
+    assert shard_count(1, 8) == 1
+    assert shard_count(ROWS_PER_SHARD, 8) == 1
+    assert shard_count(ROWS_PER_SHARD + 1, 8) == 2
+    assert shard_count(8 * ROWS_PER_SHARD, 8) == 8
+    assert shard_count(8 * ROWS_PER_SHARD + 1, 8) == 8
+    assert shard_count(100 * ROWS_PER_SHARD, 1) == 1
+
+
+def test_optimize_across_shard_counts_matches_oracle(ray_session, tmp_path, monkeypatch):
+    """A 4-shard build plus two sized (1-shard) appends optimize into one
+    segment; with 256 rows a shard the merged segment has 4 shards, so the
+    build's segments give it their own shard files and the appends' rows
+    are routed.  It answers as the brute-force oracle does on both
+    executors, before and after a delete."""
+    import pyarrow.parquet as pq
+    from perfbench.oracle import Oracle
+    from perfbench.workloads import KIND_CYCLE, QueryStream, parser, stopwords_of
+    from test_oracle_gate import _wrong_answers
+    from test_write_ops import _marked_batch
+
+    from whoosh_reloaded_ray.pipelines import build, write_ops
+    from whoosh_reloaded_ray.pipelines.build import build_index
+
+    corpus = str(tmp_path / "corpus.parquet")
+    generate_transcripts(corpus, n_turns=1024, seed=5, rows_per_file=256)
+    texts = pq.read_table(corpus, columns=["text"])["text"].to_pylist()[:768]
+    pq.write_table(pq.read_table(corpus).slice(0, 768), str(tmp_path / "base.parquet"),
+                   row_group_size=256)
+    batches = [
+        _marked_batch(corpus, str(tmp_path / f"b{i}.parquet"), 128, f"mkx{i}q", 768 + 128 * i)
+        for i in range(2)
+    ]
+    idx = str(tmp_path / "idx")
+    build_index([str(tmp_path / "base.parquet")], idx, num_shards=4,
+                rows_per_segment=256, partition_rows=256)
+    for i in range(2):
+        write_ops.append_documents(idx, [str(tmp_path / f"b{i}.parquet")])
+    counts = [s.num_shards for s in load_manifest(idx).segments]
+    assert counts == [4, 4, 4, 1, 1]
+
+    monkeypatch.setattr(build, "ROWS_PER_SHARD", 256)
+    man = maybe_merge(idx, optimize=True)
+    assert len(man.segments) == 1 and man.segments[0].num_shards == 4
+    assert man.doc_count == 1024
+
+    every = texts + batches[0] + batches[1]
+    stop = stopwords_of(every)
+    oracle = Oracle(stop)
+    oracle.add(every)
+    stream = QueryStream(every, stop, [7, 1])
+    queries = [stream.next() for _ in range(2 * len(KIND_CYCLE))]
+    queries += [("term", "mkx1q", ["mkx1q"]), ("or", "mkx0q OR mkx1q", ["mkx0q", "mkx1q"])]
+    qp = parser()
+
+    def check(deleted):
+        for executor in ("local", "ray"):
+            with IndexSearcher(idx, executor=executor, num_actors=1) as s:
+                assert _wrong_answers(s, qp, oracle, queries, 1024, deleted) == [], executor
+
+    check(frozenset())
+    rare = next(w for w in stream.vocab if 2 <= stream.counts[w] <= 4)
+    assert write_ops.delete_by_term(idx, "text", rare) > 0
+    check(frozenset(oracle.docs_with(rare, 1024)[0].tolist()))
+
+
+def test_same_shard_count_merge_reads_each_shard_file_as_before(ray_session, tmp_path, monkeypatch):
+    """When every victim has the output's shard count, output shard j is
+    victim shard j's rows: block rows concatenated in (field, term,
+    doc_min) order, terminfo re-aggregated, doclens concatenated."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from whoosh_reloaded_ray.pipelines import build
+    from whoosh_reloaded_ray.pipelines.build import build_index
+
+    path = str(tmp_path / "t.parquet")
+    generate_transcripts(path, n_turns=96, avg_turn_words=25, seed=3, rows_per_file=16)
+    idx = str(tmp_path / "idx")
+    man0 = build_index([path], idx, num_shards=4, partition_rows=16, rows_per_segment=16)
+    assert len(man0.segments) == 6
+
+    def shard_rows(names, tmpl, j, keys):
+        ts = [pq.read_table(p) for n in names
+              if os.path.exists(p := os.path.join(idx, n, tmpl.format(shard=j)))]
+        t = pa.concat_tables(ts).replace_schema_metadata(None)
+        return t.take(pc.sort_indices(t, sort_keys=[(k, "ascending") for k in keys]))
+
+    from whoosh_reloaded_ray.stages.segment_write import (
+        DOCLENS_FILE, POSTINGS_FILE, TERMINFO_FILE,
+    )
+
+    victims = [s.name for s in man0.segments]
+    post_keys = ["field", "term", "doc_min"]
+    want = {
+        j: (shard_rows(victims, POSTINGS_FILE, j, post_keys),
+            shard_rows(victims, TERMINFO_FILE, j, ["field", "term"]),
+            shard_rows(victims, DOCLENS_FILE, j, ["docnum", "field"]))
+        for j in range(4)
+    }
+    # one shard per row: the output takes the cap, the victims' count
+    monkeypatch.setattr(build, "ROWS_PER_SHARD", 1)
+    man = maybe_merge(idx, optimize=True)
+    (seg,) = man.segments
+    assert seg.num_shards == 4
+    for j in range(4):
+        posts, ti, dl = want[j]
+        got = shard_rows([seg.name], POSTINGS_FILE, j, post_keys)
+        assert got.equals(posts)
+        got_ti = shard_rows([seg.name], TERMINFO_FILE, j, ["field", "term"])
+        agg = ti.group_by(["field", "term"]).aggregate([("doc_freq", "sum")])
+        assert sorted(zip(got_ti["field"].to_pylist(), got_ti["term"].to_pylist(),
+                          got_ti["doc_freq"].to_pylist())) == sorted(
+            zip(agg["field"].to_pylist(), agg["term"].to_pylist(), agg["doc_freq_sum"].to_pylist()))
+        assert shard_rows([seg.name], DOCLENS_FILE, j, ["docnum", "field"]).equals(dl)

@@ -182,6 +182,54 @@ def test_large_shard_reads_only_row_groups_holding_the_term(ray_session, tmp_pat
     assert reads == []
     assert r.postings("text", "a08999").docs.tolist() == [8999]
 
+    # two fields holding the same 9,000 words, one shard: the 18,000-row
+    # files have three row groups, the middle one holding the end of
+    # "role" and the start of "text", so its column statistics span both
+    # fields and every word.  The row groups' first and last (field, term)
+    # keys let a lookup read only the row group that holds its term.
+    from whoosh_reloaded_ray.schema import IndexSchema, text_field
+
+    path2 = str(tmp_path / "two_fields.parquet")
+    texts = _distinct_words(path2, 9_000)
+    t = pq.read_table(path2)
+    pq.write_table(t.set_column(t.schema.get_field_index("role"), "role", pa.array(texts)), path2)
+    d2 = str(tmp_path / "idx2")
+    schema = IndexSchema(fields=[text_field("role"), text_field("text")])
+    build_index([path2], d2, schema=schema, num_shards=1, partition_rows=9_000)
+
+    def holding_groups(reader, name, field, term):
+        pf = pq.ParquetFile(os.path.join(reader.dir, name))
+        assert pf.metadata.num_row_groups == 3
+        out = []
+        for i in range(pf.num_row_groups):
+            g = pf.read_row_group(i, columns=["field", "term"])
+            if (field, term) in set(zip(g["field"].to_pylist(), g["term"].to_pylist())):
+                out.append(i)
+        return out
+
+    lookups = [("role", "a00005"), ("role", "a08500"), ("text", "a00005"), ("text", "a08500")]
+    for field, term in lookups:
+        r2 = _reader(d2)
+        reads.clear()
+        doc = int(term[1:])
+        assert r2.postings(field, term).docs.tolist() == [doc]
+        for name in ("terminfo-0000.parquet", "postings-0000.parquet"):
+            want = holding_groups(r2, name, field, term)
+            assert len(want) == 1
+            got = [rg for n, rgs in reads if n == name for rg in rgs]
+            assert got == want, (field, term, name)
+
+    # a file without the keys (an older writer's) falls back to the column
+    # statistics: the same answers, the middle row group read as well
+    for name in ("terminfo-0000.parquet", "postings-0000.parquet"):
+        f = os.path.join(r2.dir, name)
+        pq.write_table(pq.read_table(f).replace_schema_metadata(None), f, row_group_size=8192)
+    for field, term in lookups:
+        assert _reader(d2).postings(field, term).docs.tolist() == [int(term[1:])]
+    reads.clear()
+    assert _reader(d2).postings("role", "a00005").docs.tolist() == [5]
+    assert [rg for n, rgs in reads if n == "postings-0000.parquet" for rg in rgs] == [0, 1]
+
 
 def test_term_across_row_groups_reads_in_doc_order(ray_session, tmp_path):
     """A term's block rows that span two row groups of its shard's postings

@@ -358,3 +358,97 @@ def test_writes_run_without_ray_data(corpus, ray_session, tmp_path, monkeypatch)
     # the update's keys are the first 10 source rows: their originals and
     # their appended copies are deleted, the other 40 copies stay
     assert s.search(Term("text", "zzappendedzz"), limit=None).num_rows == 40
+
+
+def _marked_batch(corpus: str, path: str, rows: int, marker: str, start: int = 0) -> list:
+    """Turns [start, start + rows) of ``corpus`` under new conversation
+    ids, ``marker`` appended to each text, written to ``path``; returns
+    the texts."""
+    t = pq.read_table(corpus).slice(start, rows)
+    texts = [f"{x} {marker}" for x in t["text"].to_pylist()]
+    t = t.set_column(t.schema.get_field_index("text"), "text", pa.array(texts))
+    conv = pa.array([f"{marker}-{i:04d}" for i in range(rows)])
+    t = t.set_column(t.schema.get_field_index("conv_id"), "conv_id", conv)
+    pq.write_table(t, path, row_group_size=rows)
+    return texts
+
+
+def test_append_shard_count_is_sized_unless_given(corpus, idx, ray_session, tmp_path, monkeypatch):
+    """Without ``num_shards`` an appended segment gets ``shard_count`` of
+    its rows, capped at the build's count (4 here); an explicit count is
+    used as given, above the cap too.  ``update_documents`` follows."""
+    from whoosh_reloaded_ray.pipelines import build
+    from whoosh_reloaded_ray.state.manifest import load_manifest
+
+    def append(marker, **kw):
+        path = str(tmp_path / f"{marker}.parquet")
+        _marked_batch(corpus, path, 100, marker)
+        write_ops.append_documents(idx, [path], **kw)
+        return max(load_manifest(idx).segments, key=lambda s: s.doc_base)
+
+    seg = append("zzsizedaa")
+    assert seg.num_shards == 1
+    assert seg.files == ["doclens-0000.parquet", "postings-0000.parquet", "terminfo-0000.parquet"]
+    monkeypatch.setattr(build, "ROWS_PER_SHARD", 40)
+    assert append("zzsizedbb").num_shards == 3
+    monkeypatch.setattr(build, "ROWS_PER_SHARD", 10)
+    assert append("zzsizedcc").num_shards == 4
+    assert append("zzsizeddd", num_shards=3).num_shards == 3
+    assert append("zzsizedee", num_shards=6).num_shards == 6
+
+    upd = str(tmp_path / "upd.parquet")
+    _marked_batch(corpus, upd, 100, "zzsizedaa")
+    monkeypatch.setattr(build, "ROWS_PER_SHARD", 50)
+    write_ops.update_documents(idx, upd)
+    seg = max(load_manifest(idx).segments, key=lambda s: s.doc_base)
+    assert seg.num_shards == 2
+
+    s = IndexSearcher(idx)
+    for marker in ("zzsizedaa", "zzsizedbb", "zzsizedcc", "zzsizeddd", "zzsizedee"):
+        hits = s.search(Term("text", marker), limit=None)
+        assert hits.num_rows == 100, marker
+    # the update replaced the first batch's rows
+    assert int(s.search(Term("text", "zzsizedaa"), limit=None)["docnum"].to_numpy().min()) >= 1000
+
+
+def test_score_cache_keeps_one_array_per_list_across_appends(corpus, ray_session, tmp_path):
+    """Each append changes the doc count, and so every term's idf; a posting
+    list of a long-lived segment keeps only the newest scores, one array,
+    and the answers stay the oracle's after each of 5 appends."""
+    from perfbench.oracle import Oracle
+    from perfbench.workloads import QueryStream, parser, stopwords_of
+    from test_oracle_gate import _wrong_answers
+
+    from whoosh_reloaded_ray.pipelines.build import build_index
+
+    idx_dir = str(tmp_path / "idx5")
+    build_index([corpus], idx_dir, num_shards=4, partition_rows=125)
+    texts = pq.read_table(corpus, columns=["text"])["text"].to_pylist()
+    batches = [
+        _marked_batch(corpus, str(tmp_path / f"c{i}.parquet"), 50, f"zzcycle{i}x")
+        for i in range(5)
+    ]
+    every = texts + [t for b in batches for t in b]
+    stop = stopwords_of(every)
+    oracle = Oracle(stop)
+    oracle.add(texts)
+    stream = QueryStream(texts, stop, [3, 1], kinds=("term", "and", "or", "not"))
+    queries = [stream.next() for _ in range(12)]
+    qp = parser()
+    ndocs = len(texts)
+    searchers = [IndexSearcher(idx_dir)]  # held open: the readers live on
+    assert _wrong_answers(searchers[0], qp, oracle, queries, ndocs, frozenset()) == []
+    for i, b in enumerate(batches):
+        write_ops.append_documents(idx_dir, [str(tmp_path / f"c{i}.parquet")])
+        oracle.add(b)
+        ndocs += len(b)
+        searchers.append(IndexSearcher(idx_dir))
+        assert _wrong_answers(searchers[-1], qp, oracle, queries, ndocs, frozenset()) == [], i
+    reader = searchers[-1]._local_worker().readers[0]
+    plists = [p for rg, _ in reader._row_groups._d.values() for p in rg.plists.values()]
+    plists += [p for p, _ in reader._postings._d.values()]
+    cached = [p._score_cache for p in plists if p._score_cache is not None]
+    assert cached, "no scores cached on the first segment's lists"
+    for key, scores in cached:
+        assert isinstance(scores, np.ndarray)
+        assert key[-1] == ndocs  # the newest generation's doc count

@@ -76,6 +76,44 @@ logger = logging.getLogger(__name__)
 # object store holds at most two segments' map outputs.
 _IN_FLIGHT = 2
 
+# Rows (documents) per shard of a segment whose shard count is not given:
+# appends and merges (``shard_count``).  A shard costs a cold query one
+# more footer parse and row-group read and decode per file it touches, and
+# saves an append write time by running beside the other shards' write
+# tasks.  Measured on a 4-vCPU VM, Ray 2.49 at 4 CPUs, median of five runs:
+# a segment of N generated turns appended with S shards to an 8,192-turn
+# index (two segments, 8 shards) whose readers are warm, then 32 ranked
+# queries (term, AND, OR, NOT) each run twice at once on a fresh searcher;
+# first-touch CPU is the first run's CPU less the second's, per query:
+#   N        append wall s, S = 1/2/4/8     first-touch ms, S = 1/2/4/8
+#   512      0.050 0.043 0.046 0.051         0.48 0.47 0.61 0.87
+#   2,048    0.126 0.108 0.105 0.118         0.57 0.68 0.76 1.01
+#   4,096    0.237 0.192 0.183 0.191         0.93 0.96 0.98 1.31
+#   8,192    0.440 0.368 0.407 0.398         1.27 1.17 1.16 1.58
+#   16,384   0.896 0.762 0.741 0.697         2.10 2.17 1.79 2.19
+# (row groups read per query from the new segment: 0.06 at one shard, 0.50
+# at eight).  A second shard saved no append time at 512 rows and cost
+# first-touch CPU at 2,048 (+19%); from 4,096 rows on it cost none (+3%,
+# -8%, +3%), and four first beat two at 16,384 (-18%): one shard per
+# 4,096 rows.
+ROWS_PER_SHARD = 4096
+
+
+def shard_count(rows: int, cap: int) -> int:
+    """Shards of a segment of ``rows`` documents: one per
+    ``ROWS_PER_SHARD`` rows (rounded up), at least 1 and at most ``cap``."""
+    return max(1, min(cap, -(-rows // ROWS_PER_SHARD)))
+
+
+def shard_cap(manifest: Manifest) -> int:
+    """The index's configured shard count, the cap of ``shard_count``: the
+    build's ``num_shards``, or else its widest segment's count (16, the
+    build's default, for an index of neither)."""
+    n = manifest.build_config.get("num_shards")
+    if n is None:
+        n = max((s.num_shards for s in manifest.segments), default=16)
+    return int(n)
+
 
 def build_index(
     source_paths,

@@ -6,16 +6,25 @@ accumulate; a segment is a merge victim while the cumulative doc total stays
 under ``fib(i + 5)`` — small segments merge eagerly, big ones are left
 alone (LSM-style tiering).
 
-Mechanism (BETTER than the reference's full rewrite): our posting blocks
-are self-contained — each block row stores its first docnum absolute, its
-own stats (doc_min/doc_max/max_weight/min_len_byte) and its own wflag — so
-merging K segments' postings for a shard is a pure BLOCK-ROW CONCATENATION
-sorted by (field, term, doc_min): no decode, no re-encode, no docnum remap
-(docnums are globally dense from the partition plan).  Terminfo rows
-re-aggregate with exact associative stats; doclens rows concatenate.  Each
-shard merges independently in one plain Ray task, made by
-``_rayutil.remote_task`` like build's map and write tasks, so a merge of
-any size runs with shard-level parallelism and bounded memory.
+Mechanism: posting blocks are self-contained — each block row stores its
+first docnum absolute, its own stats (doc_min/doc_max/max_weight/
+min_len_byte) and its own wflag — so merging K segments' postings for a
+shard CONCATENATES their block rows, sorted by (field, term, doc_min):
+no decode, no re-encode, no docnum remap (docnums are globally dense from
+the partition plan).  Each victim's last block of a term stays as it was,
+partial blocks included, so a term merged from K segments may hold up to
+K short blocks (where whoosh's full rewrite re-cuts them).  Terminfo rows
+re-aggregate with exact associative stats; doclens rows concatenate.
+
+The merged segment gets ``build.shard_count`` of its rows (at most the
+index's configured count), so victims of any shard counts merge.  Each
+output shard merges in one plain Ray task, made by
+``_rayutil.remote_task`` like build's map and write tasks.  A victim with
+the output's shard count gives that task its own shard file; one with
+another count gives the rows of all its files that the output's routing
+sends to the task's shard (a term by ``_shard_of(field, term)``, one
+crc32 per distinct term; a doc-length row by docnum), still without a
+decode.
 
 The merged segment's partition lineage is the union of the victims' — its
 docnum ranges may be non-contiguous, which SegmentReader handles via the
@@ -28,11 +37,20 @@ import logging
 import time
 from functools import lru_cache
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from .._rayutil import consume_fault_flag, counters, remote_task, sum_counters
-from ..stages.segment_write import DOCLENS_FILE, POSTINGS_FILE, TERMINFO_FILE, _atomic_write
+from .build import shard_cap, shard_count
+from ..stages.segment_write import (
+    DOCLENS_FILE,
+    POSTINGS_FILE,
+    TERMINFO_FILE,
+    _atomic_write,
+    _write_sorted,
+)
+from ..stages.tokenize import _shards_of
 from ..state.manifest import Manifest, SegmentMeta, clean_files, commit_manifest, load_manifest
 
 logger = logging.getLogger(__name__)
@@ -68,16 +86,38 @@ def select_merge_small(segments: list) -> tuple[list, list]:
     return [], segments
 
 
-def _merge_shard(
-    index_dir: str, seg_names: list, seg_files: list, new_name: str, shard: int
-) -> dict:
-    """Merge one shard across victim segments: block-row concat + terminfo
-    re-aggregation + doclens concat.  ``seg_files`` is each victim's
-    ``SegmentMeta.files``: a listed file is read, so a lost one raises
-    rather than merging as an empty shard; a victim without the list (an
-    older manifest) reads the files it has.  Returns {n_terms,
-    n_postings}, the names of the files it wrote and the task's counters
-    (postings written, file bytes).
+def _term_shards(t: pa.Table, num_shards: int) -> np.ndarray:
+    """``_shard_of(field, term, num_shards)`` of each row of a table with
+    (field, term) columns: one crc32 per distinct term of each field, as
+    ``Tokenizer._route`` routes them."""
+    out = np.empty(t.num_rows, dtype=np.int32)
+    fields = pc.dictionary_encode(t["field"].combine_chunks())
+    fcodes = fields.indices.to_numpy()
+    for code, field in enumerate(fields.dictionary.to_pylist()):
+        rows = np.flatnonzero(fcodes == code)
+        terms = pc.dictionary_encode(t["term"].take(pa.array(rows)).combine_chunks())
+        out[rows] = _shards_of(field, terms.dictionary, num_shards)[terms.indices.to_numpy()]
+    return out
+
+
+def _doc_shards(t: pa.Table, num_shards: int) -> np.ndarray:
+    """The shard of each doclens row: its docnum modulo ``num_shards``, as
+    ``Tokenizer._route`` routes a doc-length row."""
+    return t["docnum"].to_numpy() % num_shards
+
+
+def _merge_shard(index_dir: str, victims: list, new_name: str, shard: int, num_shards: int) -> dict:
+    """Merge shard ``shard`` of a ``num_shards``-shard output across the
+    victim segments: block-row concat + terminfo re-aggregation + doclens
+    concat.  ``victims`` holds each victim's (name, ``SegmentMeta.files``,
+    num_shards).  A victim with ``num_shards`` shards gives its own file
+    of this shard; one with another count gives the rows of all its files
+    that the output's routing sends here (``_term_shards``,
+    ``_doc_shards``).  A listed file is read, so a lost one raises rather
+    than merging as an empty shard; a victim without the list (an older
+    manifest) reads the files it has.  A shard no row routes to writes no
+    file.  Returns {n_terms, n_postings}, the names of the files it wrote
+    and the task's counters (postings written, file bytes).
 
     A task of its own (``merge_segments``): every write is atomic and the
     output byte-deterministic, so Ray's retry after a worker death rewrites
@@ -91,32 +131,38 @@ def _merge_shard(
 
     out_dir = storage.join(index_dir, new_name)
 
-    def paths(tmpl):
-        name = tmpl.format(shard=shard)
-        ps = [(storage.join(index_dir, s, name), files) for s, files in zip(seg_names, seg_files)]
-        return [p for p, files in ps if (storage.exists(p) if files is None else name in files)]
+    def read(tmpl, route):
+        tables = []
+        for name, files, n in victims:
+            for k in [shard] if n == num_shards else range(n):
+                fname = tmpl.format(shard=k)
+                p = storage.join(index_dir, name, fname)
+                if not (storage.exists(p) if files is None else fname in files):
+                    continue
+                t = storage.read_parquet(p)
+                if n != num_shards:
+                    t = t.filter(pa.array(route(t, num_shards) == shard))
+                if t.num_rows:
+                    tables.append(t)
+        return pa.concat_tables(tables) if tables else None
 
     stats = {"n_terms": 0, "n_postings": 0}
     nbytes = 0
     files = []
 
-    post_files = paths(POSTINGS_FILE)
-    if post_files:
-        blocks = pa.concat_tables([storage.read_parquet(p) for p in post_files])
+    blocks = read(POSTINGS_FILE, _term_shards)
+    if blocks is not None:
         order = pc.sort_indices(
             blocks,
             sort_keys=[("field", "ascending"), ("term", "ascending"), ("doc_min", "ascending")],
         )
         blocks = blocks.take(order)
-        nbytes += _atomic_write(
-            blocks, storage.join(out_dir, POSTINGS_FILE.format(shard=shard))
-        )
+        nbytes += _write_sorted(blocks, storage.join(out_dir, POSTINGS_FILE.format(shard=shard)))
         files.append(POSTINGS_FILE.format(shard=shard))
         stats["n_postings"] = int(pc.sum(blocks["count"]).as_py() or 0)
 
-    ti_files = paths(TERMINFO_FILE)
-    if ti_files:
-        ti = pa.concat_tables([storage.read_parquet(p) for p in ti_files])
+    ti = read(TERMINFO_FILE, _term_shards)
+    if ti is not None:
         agg = ti.group_by(["field", "term"]).aggregate(
             [
                 ("doc_freq", "sum"),
@@ -139,13 +185,12 @@ def _merge_shard(
         agg = agg.take(
             pc.sort_indices(agg, sort_keys=[("field", "ascending"), ("term", "ascending")])
         )
-        nbytes += _atomic_write(agg, storage.join(out_dir, TERMINFO_FILE.format(shard=shard)))
+        nbytes += _write_sorted(agg, storage.join(out_dir, TERMINFO_FILE.format(shard=shard)))
         files.append(TERMINFO_FILE.format(shard=shard))
         stats["n_terms"] = agg.num_rows
 
-    dl_files = paths(DOCLENS_FILE)
-    if dl_files:
-        dl = pa.concat_tables([storage.read_parquet(p) for p in dl_files])
+    dl = read(DOCLENS_FILE, _doc_shards)
+    if dl is not None:
         dl = dl.take(
             pc.sort_indices(dl, sort_keys=[("docnum", "ascending"), ("field", "ascending")])
         )
@@ -155,23 +200,22 @@ def _merge_shard(
     return {**stats, "files": files, "counters": counters(stats["n_postings"], nbytes, t0)}
 
 
-def merge_segments(index_dir: str, victims: list, new_name: str) -> SegmentMeta:
-    """Merge victim segments (equal num_shards) into one new segment, one
-    ``_merge_shard`` task per shard; returns the new SegmentMeta (not yet
-    committed)."""
+def merge_segments(index_dir: str, victims: list, new_name: str, cap: int) -> SegmentMeta:
+    """Merge victim segments, of any shard counts, into one new segment of
+    ``shard_count`` of their rows, at most ``cap`` shards, one
+    ``_merge_shard`` task per output shard; returns the new SegmentMeta
+    (not yet committed)."""
     import ray
 
-    num_shards = victims[0].num_shards
-    assert all(s.num_shards == num_shards for s in victims)
     from ..state import storage
 
+    num_shards = shard_count(sum(s.doc_count for s in victims), cap)
     storage.makedirs(storage.join(index_dir, new_name))
-    names = [s.name for s in victims]
-    files = [s.files for s in victims]
+    args = [(s.name, s.files, s.num_shards) for s in victims]
 
     task = remote_task(_merge_shard)
     summary = ray.get(
-        [task.remote(index_dir, names, files, new_name, k) for k in range(num_shards)]
+        [task.remote(index_dir, args, new_name, k, num_shards) for k in range(num_shards)]
     )
 
     parts = sorted((p for s in victims for p in s.partitions), key=lambda p: p.base)
@@ -195,33 +239,29 @@ def merge_segments(index_dir: str, victims: list, new_name: str) -> SegmentMeta:
 
 
 def maybe_merge(index_dir: str, policy=select_merge_small, optimize: bool = False) -> Manifest:
-    """Apply the merge policy (or merge everything when ``optimize=True``,
-    the reference's OPTIMIZE) and commit a new manifest generation.
+    """Apply the merge policy to every segment, whatever its shard count
+    (or merge everything when ``optimize=True``, the reference's
+    OPTIMIZE, which leaves one segment), and commit a new manifest
+    generation.  The merged segment's shard count is ``shard_count`` of
+    its rows, capped at the index's configured count (``shard_cap``).
 
     Old segment dirs become unreferenced and are GC'd by ``clean_files``
     (readers pinned to an older generation keep working until then)."""
     manifest = load_manifest(index_dir)
     if manifest is None:
         raise FileNotFoundError(f"no committed manifest in {index_dir}")
-    # only segments sharing a shard count can block-concat; merge the
-    # largest same-shard-count group
-    by_shards: dict = {}
-    for s in manifest.segments:
-        by_shards.setdefault(s.num_shards, []).append(s)
-    group = max(by_shards.values(), key=len)
-    others = [s for s in manifest.segments if s not in group]
-
+    segments = manifest.segments
     if optimize:
-        victims, keep = (group, []) if len(group) > 1 else ([], group)
+        victims, keep = (segments, []) if len(segments) > 1 else ([], segments)
     else:
-        victims, keep = policy(group)
+        victims, keep = policy(segments)
     if not victims:
         return manifest
 
     new_name = f"seg-{manifest.generation + 1:05d}-merged"
     logger.info("merging %d segments -> %s", len(victims), new_name)
-    merged = merge_segments(index_dir, victims, new_name)
-    manifest.segments = sorted(keep + others + [merged], key=lambda s: s.doc_base)
+    merged = merge_segments(index_dir, victims, new_name, shard_cap(manifest))
+    manifest.segments = sorted(keep + [merged], key=lambda s: s.doc_base)
     commit_manifest(index_dir, manifest)
     clean_files(index_dir)
     return manifest

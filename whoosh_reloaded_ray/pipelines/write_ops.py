@@ -94,10 +94,12 @@ def append_documents(
 ) -> Manifest:
     """Index additional parquet files as one new segment appended after the
     existing docnum space, through the build's ``_build_segment``.
-    ``partition_rows`` defaults to 250,000 and ``num_shards`` to the
-    index's shard count."""
+    ``partition_rows`` defaults to 250,000.  An explicit ``num_shards`` is
+    used as given; without one the segment gets ``build.shard_count`` of
+    its rows, capped at the index's configured count
+    (``build.shard_cap``), so a small batch writes one shard's files."""
     from ..sources.corpus import plan_partitions
-    from .build import _build_segment
+    from .build import _build_segment, shard_cap, shard_count
 
     manifest = load_manifest(index_dir)
     if manifest is None:
@@ -118,7 +120,7 @@ def append_documents(
         parts,
         index_dir,
         manifest.schema,
-        num_shards or (manifest.segments[0].num_shards if manifest.segments else 16),
+        num_shards or shard_count(sum(p.rows for p in parts), shard_cap(manifest)),
     )
     manifest.segments.append(seg)
     manifest.segments.sort(key=lambda s: s.doc_base)
@@ -164,7 +166,9 @@ def update_documents(
 ) -> Manifest:
     """Replace docs whose unique-key tuple matches an incoming row, then
     append the incoming rows (reference update_document semantics:
-    delete-by-unique-terms then add, writing.py:439-502).
+    delete-by-unique-terms then add, writing.py:439-502).  The appended
+    segment's shard count follows ``append_documents``: ``num_shards`` as
+    given, or sized by its rows.
 
     The delete side is a DISTRIBUTED broadcast semi-join: the incoming key
     tuples are hashed once and ``ray.put`` once; one Ray task per source

@@ -17,6 +17,7 @@ vectorized per segment.
 
 from __future__ import annotations
 
+import json
 import math
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
@@ -35,6 +36,7 @@ from ..sources.corpus import read_partition
 from ..stages.segment_write import (
     DOCLENS_FILE,
     POSTINGS_FILE,
+    ROW_GROUP_KEYS,
     TERMINFO_FILE,
     WEIGHTS_VARINT,
 )
@@ -71,7 +73,7 @@ class PostingList:
         self._chars_cache: dict = {}
         self._boosts_cache: dict = {}
         self._payload_cache: dict = {}
-        self._score_cache: dict = {}  # scoring-input tuple -> float64 scores
+        self._score_cache = None  # (scoring-input tuple, float64 scores)
         self._pos_decoded = None  # (flat abs positions, offsets, counts)
         self._pos_calls = 0
 
@@ -398,6 +400,23 @@ class _RowGroup:
         return docs[s:e], weights[s:e], lens[s:e], rel, counts[lo:hi]
 
 
+def _may_hold(bound, field: str, start, end) -> bool:
+    """Whether a row group whose ``SegmentReader._footer`` bound is
+    ``bound`` may hold rows of ``field`` with start <= term <= end (None:
+    unbounded)."""
+    if len(bound) == 2:  # its exact first and last (field, term)
+        first, last = bound
+        if last < (field, start or ""):
+            return False
+        return first[0] <= field if end is None else first <= (field, end)
+    fmin, fmax, tmin, tmax = bound
+    if fmin is not None and not fmin <= field <= fmax:
+        return False
+    return tmin is None or not (
+        (start is not None and start > tmax) or (end is not None and end < tmin)
+    )
+
+
 class SegmentReader:
     """Reads one segment's terminfo/postings/doclens (cached).
 
@@ -411,8 +430,9 @@ class SegmentReader:
     read-only views of that decode (a copy for a term whose block rows
     span row groups, or a list with positional blobs), so callers must not
     write to them.  A one-row-group shard file (the usual size) is read
-    whole; a larger one reads only the row groups whose footer statistics
-    may hold the term.  Nothing is read at open.  Arrow data becomes numpy
+    whole; a larger one reads only the row groups that may hold the term,
+    by the first and last (field, term) the writer records for each (an
+    older file's column statistics otherwise).  Nothing is read at open.  Arrow data becomes numpy
     only through ``storage``'s converters, so no query imports pandas.
 
     A searcher takes its readers from a process-wide registry
@@ -496,8 +516,11 @@ class SegmentReader:
             )
 
     def _footer(self, path: str):
-        """(footer, per-row-group ``[field min, field max, term min, term
-        max]``) of one shard file, or None for a shard file the segment
+        """(footer, per-row-group bounds) of one shard file: each row
+        group's first and last (field, term) from the writer's
+        ``ROW_GROUP_KEYS``, or, in a file without them, ``[field min,
+        field max, term min, term max]`` from its column statistics.  None
+        for a shard file the segment
         does not have (an empty shard): one ``SegmentMeta.files`` does not
         list, read without touching storage, or, in a manifest without
         that list, one that is absent.  A listed file that is missing
@@ -522,14 +545,18 @@ class SegmentReader:
                 ) from None
             self._footers[path] = None
             return None
-        names = md.schema.names
-        bounds = []
-        for i in range(md.num_row_groups):
-            rg, b = md.row_group(i), []
-            for col in ("field", "term"):
-                st = rg.column(names.index(col)).statistics if col in names else None
-                b += [st.min, st.max] if st is not None and st.has_min_max else [None, None]
-            bounds.append(b)
+        keys = json.loads((md.metadata or {}).get(ROW_GROUP_KEYS, b"null"))
+        if keys is not None and len(keys) == md.num_row_groups:
+            bounds = [((f0, t0), (f1, t1)) for f0, t0, f1, t1 in keys]
+        else:
+            names = md.schema.names
+            bounds = []
+            for i in range(md.num_row_groups):
+                rg, b = md.row_group(i), []
+                for col in ("field", "term"):
+                    st = rg.column(names.index(col)).statistics if col in names else None
+                    b += [st.min, st.max] if st is not None and st.has_min_max else [None, None]
+                bounds.append(b)
         self._footers[path] = md, bounds
         return md, bounds
 
@@ -586,20 +613,17 @@ class SegmentReader:
     ) -> list:
         """``(row group, first row, end row)`` of each run of ``field``'s
         rows in one shard file, with start <= term <= end when given
-        (either end exclusive).  Row groups are chosen from the footer
-        statistics, as a parquet filter on (field, term) chooses them."""
+        (either end exclusive).  Row groups are chosen by their footer
+        bounds (``_may_hold``), as a parquet filter on (field, term) would
+        choose them."""
         path = self._path(template, shard)
         footer = self._footer(path)
         if footer is None:
             return []
         md, bounds = footer
         out = []
-        for i, (fmin, fmax, tmin, tmax) in enumerate(bounds):
-            if fmin is not None and not fmin <= field <= fmax:
-                continue
-            if tmin is not None and (
-                (start is not None and start > tmax) or (end is not None and end < tmin)
-            ):
+        for i, b in enumerate(bounds):
+            if not _may_hold(b, field, start, end):
                 continue
             rg = self._row_group(path, md, i)
             lo, hi = rg.spans.get(field, (0, 0))
@@ -1026,9 +1050,11 @@ def term_scores(
     two contexts computing the same numbers share the entry, and a context
     with different stats (other generation, hand-built) can never collide.
     User-function models are never cached (the fn isn't value-keyed).
-    Callers must treat the returned array as READ-ONLY; the cache dies
-    with the PostingList (its row group's or the reader's posting-list
-    LRU entry)."""
+    Only the newest key's scores are kept: every commit changes the doc count, and
+    so the key, and a long-lived list would otherwise gain one array per
+    generation outside any byte bound.  Callers must treat the returned
+    array as READ-ONLY; the cache dies with the PostingList (its row
+    group's or the reader's posting-list LRU entry)."""
     m = ctx.field_models.get(field, ctx.model)
     if m == "fn":
         s = _score_postings_fwd(
@@ -1046,12 +1072,14 @@ def term_scores(
         ctx.pl2_c,
         ctx.doc_count,
     )
-    s = plist._score_cache.get(key)
-    if s is None:
+    cached = plist._score_cache
+    if cached is not None and cached[0] == key:
+        s = cached[1]
+    else:
         s = _score_postings_fwd(
             plist.docs, plist.weights, plist.len_bytes, field, term, ctx
         )
-        plist._score_cache[key] = s
+        plist._score_cache = (key, s)
     return -s if ctx.reverse else s
 
 

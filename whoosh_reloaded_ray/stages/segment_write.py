@@ -54,10 +54,32 @@ TERMINFO_FILE = "terminfo-{shard:04d}.parquet"
 DOCLENS_FILE = "doclens-{shard:04d}.parquet"
 
 
-def _atomic_write(tbl: pa.Table, path: str, row_group_size: int = 8192) -> int:
+# parquet key-value metadata entry of a file sorted by (field, term): per
+# row group, its first and last key, as JSON [[field, term, field, term], ...]
+ROW_GROUP_KEYS = b"row_group_keys"
+ROW_GROUP_ROWS = 8192
+
+
+def _atomic_write(tbl: pa.Table, path: str) -> int:
     from ..state import storage
 
-    return storage.write_parquet_atomic(tbl, path, row_group_size=row_group_size)
+    return storage.write_parquet_atomic(tbl, path, row_group_size=ROW_GROUP_ROWS)
+
+
+def _write_sorted(tbl: pa.Table, path: str) -> int:
+    """``_atomic_write`` of a table sorted by (field, term), with each row
+    group's first and last (field, term) under ``ROW_GROUP_KEYS``.  The
+    reader chooses row groups by these exact keys: column statistics bound
+    field and term apart, so a row group holding several fields spans
+    nearly every term."""
+    n = tbl.num_rows
+    starts = np.arange(0, n, ROW_GROUP_ROWS)
+    ends = np.minimum(starts + ROW_GROUP_ROWS, n) - 1
+    at = pa.array(np.stack([starts, ends], axis=1).ravel())
+    keys = list(zip(tbl["field"].take(at).to_pylist(), tbl["term"].take(at).to_pylist()))
+    rows = [[*keys[i], *keys[i + 1]] for i in range(0, len(keys), 2)]
+    tbl = tbl.replace_schema_metadata({ROW_GROUP_KEYS: json.dumps(rows)})
+    return _atomic_write(tbl, path)
 
 
 _binary_from_offsets = binary_array_from_offsets
@@ -260,7 +282,7 @@ class ShardSegmentWriter:
                 "payload": payload_col,
             }
         )
-        nbytes = _atomic_write(
+        nbytes = _write_sorted(
             blk, _storage_join(self.seg_dir, POSTINGS_FILE.format(shard=shard))
         )
 
@@ -280,7 +302,7 @@ class ShardSegmentWriter:
                 "max_len_byte": pa.array(np.maximum.reduceat(lens, term_starts), type=pa.uint8()),
             }
         )
-        nbytes += _atomic_write(
+        nbytes += _write_sorted(
             ti, _storage_join(self.seg_dir, TERMINFO_FILE.format(shard=shard))
         )
         return ShardWriteResult(shard=shard, n_terms=n_terms, n_postings=n, bytes=nbytes)

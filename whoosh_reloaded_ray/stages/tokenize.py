@@ -80,6 +80,20 @@ def _shard_of(field: str, term: str, num_shards: int) -> int:
     return zlib.crc32(f"{field}:{term}".encode("utf-8")) % num_shards
 
 
+def _shards_of(field: str, terms: pa.Array, num_shards: int) -> np.ndarray:
+    """``_shard_of(field, t, num_shards)`` of each string in ``terms``, its
+    crc32 continued from the field prefix's (equal, without a string join
+    per term); to_numpy, as to_pylist takes several times as long."""
+    prefix = zlib.crc32(f"{field}:".encode("utf-8"))
+    return np.array(
+        [
+            zlib.crc32(t.encode("utf-8"), prefix) % num_shards
+            for t in terms.to_numpy(zero_copy_only=False)
+        ],
+        dtype=np.int32,
+    )
+
+
 class Tokenizer:
     """Callable: a batch of documents (with ``docnum``) -> POSTING_SCHEMA
     postings.  Analyzers compile once per instance; a build ships one
@@ -427,7 +441,6 @@ class Tokenizer:
 
         A term chunk may come dictionary-encoded; it is decoded here."""
         R = self.num_shards
-        prefix = zlib.crc32(f"{fname}:".encode("utf-8"))
         for k in range(first, len(out["term"])):
             terms = out["term"][k]
             if pa.types.is_dictionary(terms.type):
@@ -436,16 +449,7 @@ class Tokenizer:
                 terms = pc.dictionary_encode(terms)
             uniques = terms.dictionary
             codes = terms.indices.to_numpy(zero_copy_only=False)
-            # _shard_of per distinct term, its crc32 continued from the
-            # field prefix's (equal, without a string join per term);
-            # to_numpy, as to_pylist takes several times as long
-            shard = np.array(
-                [
-                    zlib.crc32(t.encode("utf-8"), prefix) % R
-                    for t in uniques.to_numpy(zero_copy_only=False)
-                ],
-                dtype=np.int32,
-            )[codes]
+            shard = _shards_of(fname, uniques, R)[codes]
             code = pc.index(uniques, LEN_SENTINEL).as_py()
             if code >= 0:
                 m = codes == code
