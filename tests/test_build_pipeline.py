@@ -10,10 +10,16 @@ before the call raises, and resumes into the index a clean build writes.
 The delays and the failure come from ``_rayutil.segment_test_hook``: a
 ``.test_hook_<segment name>`` file at the index root, read by each map
 task of that segment.
+
+An append's plan of one partition and one shard is built in the calling
+process instead (``_build_segment``): here it writes what the tasks write
+for the same plan, with the same ``SegmentMeta``; any other plan still
+runs as tasks; and the test hook fails it with nothing committed.
 """
 
 from __future__ import annotations
 
+import copy
 import glob
 import json
 import os
@@ -22,10 +28,12 @@ import time
 import pytest
 from test_fault_injection import _tree_hashes
 
+from whoosh_reloaded_ray.pipelines import build
 from whoosh_reloaded_ray.pipelines.build import build_index
 from whoosh_reloaded_ray.pipelines.merge import maybe_merge
 from whoosh_reloaded_ray.pipelines.write_ops import append_documents
-from whoosh_reloaded_ray.sources.corpus import generate_transcripts
+from whoosh_reloaded_ray.schema import transcript_schema
+from whoosh_reloaded_ray.sources.corpus import generate_transcripts, plan_partitions
 from whoosh_reloaded_ray.state.manifest import load_manifest
 
 # 4 segments of 2 partitions each
@@ -153,3 +161,78 @@ def test_failed_segment_commits_only_the_ones_before_it(corpus, ray_session, tmp
     man = build_index([path], idx, **PLAN)
     assert [s.name for s in man.segments] == SEGMENTS
     assert _tree_hashes(idx) == _tree_hashes(clean)
+
+
+def _without_busy_seconds(meta) -> dict:
+    d = copy.deepcopy(meta.to_dict())
+    for stage in ("map", "write"):
+        d["metrics"][stage].pop("busy_s")
+    return d
+
+
+def test_in_process_segment_equals_the_task_built_one(corpus, ray_session, tmp_path, monkeypatch):
+    """The same one-partition, one-shard plan, built in process (no task
+    launched) and through ``_submit_segment``/``_finish_segment``: the
+    same files, byte for byte, and the same ``SegmentMeta`` apart from
+    busy seconds (the map's bytes included: the postings' IPC size)."""
+    import ray
+
+    from whoosh_reloaded_ray.stages.tokenize import Tokenizer
+
+    schema = transcript_schema()
+    spec = plan_partitions([corpus[1]], target_rows=1000)
+    assert len(spec) == 1
+    columns = build._source_columns(schema, spec[0].path)
+    tasks = build._finish_segment(build._submit_segment(
+        "seg-x", spec, str(tmp_path / "tasks"), 1, columns, ray.put(Tokenizer(schema, num_shards=1))
+    ))
+
+    def refuse(fn):
+        raise AssertionError(f"{fn.__name__} ran as a task")
+
+    monkeypatch.setattr(build, "remote_task", refuse)
+    here = build._build_segment("seg-x", spec, str(tmp_path / "here"), schema, 1)
+
+    assert _tree_hashes(str(tmp_path / "here")) == _tree_hashes(str(tmp_path / "tasks"))
+    assert _without_busy_seconds(here) == _without_busy_seconds(tasks)
+    assert here.metrics["map"]["bytes"] > 0 and here.metrics["write"]["busy_s"] > 0
+
+
+def test_other_append_plans_run_as_tasks(corpus, ray_session, tmp_path, monkeypatch):
+    """Only a plan of one partition and one shard is built in process: a
+    two-file append, and an append sized to two shards, run as tasks."""
+    path, extra = corpus
+    idx = str(tmp_path / "idx")
+    build_index([path], idx, **PLAN)
+    launched = []
+    remote_task = build.remote_task
+
+    def counted(fn):
+        launched.append(fn.__name__)
+        return remote_task(fn)
+
+    monkeypatch.setattr(build, "remote_task", counted)
+
+    append_documents(idx, [extra])
+    assert launched == [] and load_manifest(idx).segments[-1].num_shards == 1
+    append_documents(idx, [path, extra])
+    assert launched == ["_map_partition", "_write_shard"]
+    launched.clear()
+    monkeypatch.setattr(build, "ROWS_PER_SHARD", 32)
+    append_documents(idx, [extra])  # 64 rows: two shards
+    assert launched == ["_map_partition", "_write_shard"]
+    assert [s.num_shards for s in load_manifest(idx).segments[4:]] == [1, 1, 2]
+
+
+def test_test_hook_fails_an_in_process_append_with_nothing_committed(corpus, ray_session, tmp_path):
+    path, extra = corpus
+    idx = str(tmp_path / "idx")
+    build_index([path], idx, **PLAN)
+    before = load_manifest(idx)
+    _hook(idx, f"seg-00004a{before.generation + 1}", "fail")
+    with pytest.raises(RuntimeError, match="test hook: segment seg-00004a4 fails"):
+        append_documents(idx, [extra])
+    after = load_manifest(idx)
+    assert after.generation == before.generation
+    assert [s.name for s in after.segments] == SEGMENTS
+    assert _generations(idx) == {g: SEGMENTS[: g + 1] for g in range(4)}

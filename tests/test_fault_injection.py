@@ -15,6 +15,10 @@ What recovers is Ray's own machinery, which these tests exist to exercise:
     dying MID-EVALUATE must transparently restart, replay the read, and
     return byte-identical matches.
 
+The flags fire only inside Ray workers: a planted writer flag leaves an
+append built in the calling process alive, and an eval flag a driver's
+local search, with the flag unconsumed.
+
 North-rule relevance: on a 256-node cluster over 100 TB, worker loss is
 routine; "retry yields identical bytes" is what makes the manifest/lineage
 design (state/manifest.py) actually restartable.
@@ -262,3 +266,29 @@ def test_searcher_external_ray_kill(idx_dir):
     ray.kill(rays.workers[0], no_restart=False)
     for q, w in zip(qs, want):
         _assert_same(w, rays.search(q, limit=10))
+
+
+def test_fault_flags_fire_only_inside_ray_workers(corpus, ray_session, tmp_path):
+    """A writer flag planted before a small append built in this process,
+    and an eval flag before a local search: both succeed, and both flags
+    are left where they were planted."""
+    import pyarrow.parquet as pq
+
+    from whoosh_reloaded_ray.pipelines import write_ops
+    from whoosh_reloaded_ray.pipelines.build import build_index
+
+    idx = str(tmp_path / "idx")
+    build_index([corpus], idx, num_shards=2, partition_rows=600)
+    batch = str(tmp_path / "batch.parquet")
+    pq.write_table(pq.read_table(corpus).slice(0, 100), batch)
+    flags = [os.path.join(idx, f) for f in (".fault_crash_writer", ".fault_crash_eval")]
+    for flag in flags:
+        open(flag, "w").close()
+
+    man = write_ops.append_documents(idx, [batch])
+    assert man.doc_count == 1300 and man.segments[-1].num_shards == 1
+    s = IndexSearcher(idx)
+    term = s.lexicon("text")[100]
+    assert s.search(Term("text", term), limit=10).num_rows > 0
+    for flag in flags:
+        assert os.path.exists(flag) and not os.path.exists(flag + ".consumed"), flag

@@ -1,13 +1,18 @@
-"""The query path never imports pandas.
+"""The query path and the write path never import pandas.
 
 pyarrow's ``to_numpy()``, ``pa.array(...)`` and ``pa.scalar(...)`` import
 pandas on first use, about 0.37 s, which a fresh segment actor would pay
-inside its first query.  ``state/storage.py``'s converters (``as_numpy``,
-``string_list``, ``binary_values``, ``from_numpy``) read the Arrow buffers
-instead.  Here: they equal pyarrow's own conversions; a fresh local
-process and fresh segment actors answer every query kind, a sorted search
-and a facet search with pandas never imported; and query/ and state/ call
-no pandas-backed conversion outside the converters.  Segment actors also
+inside its first query, and a plain client inside its first append.
+``state/storage.py``'s converters (``as_numpy``, ``string_list``,
+``binary_values``, ``from_numpy``, ``from_strings``) read and build the
+Arrow buffers instead.  Here: they equal pyarrow's own conversions; a
+fresh local process and fresh segment actors answer every query kind, a
+sorted search and a facet search with pandas never imported; a fresh
+process appends a 512-row batch (read, tokenized and written in that
+process) with pandas never imported; and query/, state/, stages/ and the
+write tasks' modules (pipelines/build.py, pipelines/merge.py) call no
+pandas-backed conversion outside the converters, nor Arrow's ``group_by``
+or ``pq.read_table``, which load ``pyarrow.dataset`` and with it pandas.  Segment actors also
 leave the query-string parser unimported: ``query/__init__.py`` loads it
 on first use."""
 
@@ -121,6 +126,23 @@ def test_from_numpy_equals_pa_array(values):
     got.validate(full=True)
 
 
+@pytest.mark.parametrize("values,typ", [
+    (["alpha", "", "ß€→", "日本語"], pa.string()),
+    (["a\x00b", "", "c"], pa.string()),
+    (["alpha", None, ""], pa.string()),
+    ([None, None], pa.string()),
+    ([""], pa.string()),
+    ([], pa.string()),
+    ([b"\x00\x01", b"", None, b"\xff"], pa.binary()),
+    ([b"ab"], pa.binary()),
+    ([], pa.binary()),
+], ids=repr)
+def test_from_strings_equals_pa_array(values, typ):
+    want, got = pa.array(values, typ), storage.from_strings(values, typ)
+    got.validate(full=True)
+    assert got.type == want.type and got.equals(want)
+
+
 # ---- field_docs without pd.isna ---------------------------------------------
 
 def test_field_docs_of_unscored_columns_skip_none_empty_and_nan(ray_session, tmp_path):
@@ -219,6 +241,32 @@ def test_local_searches_never_import_pandas(idx_dir):
     assert not imported
 
 
+def test_fresh_process_appends_without_importing_pandas(ray_session, tmp_path):
+    """A tiny index, then a 512-row append in a fresh process: one
+    partition and one shard, so the process reads, tokenizes and writes
+    it itself, and never imports pandas."""
+    from whoosh_reloaded_ray.pipelines.build import build_index
+    from whoosh_reloaded_ray.sources.corpus import generate_transcripts
+
+    base, batch = str(tmp_path / "base.parquet"), str(tmp_path / "batch.parquet")
+    generate_transcripts(base, n_turns=200, avg_turn_words=20, seed=3, rows_per_file=100)
+    generate_transcripts(batch, n_turns=512, avg_turn_words=20, seed=4, rows_per_file=512)
+    idx = str(tmp_path / "idx")
+    build_index([base], idx, num_shards=2, partition_rows=100)
+    script = (
+        "import json, sys\n"
+        "from whoosh_reloaded_ray.pipelines import write_ops\n"
+        f"man = write_ops.append_documents({idx!r}, [{batch!r}])\n"
+        "print(json.dumps([man.doc_count, man.segments[-1].num_shards, 'pandas' in sys.modules]))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300,
+        cwd=REPO, env={**os.environ, "PYTHONPATH": REPO},
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout.strip().splitlines()[-1]) == [712, 1, False]
+
+
 def test_segment_actors_never_import_pandas(idx_dir):
     from whoosh_reloaded_ray.state.searcher import IndexSearcher
 
@@ -257,8 +305,8 @@ def test_segment_actors_never_import_the_query_parser(idx_dir):
 
 # ---- the static rule ------------------------------------------------------------
 
-# the converter that falls back to pyarrow's own path for other types
-_CONVERTERS = {"_chunk_numpy"}
+# the converters that fall back to pyarrow's own path for other types
+_CONVERTERS = {"_chunk_numpy", "from_numpy"}
 
 
 def _violations(path: str) -> list:
@@ -270,9 +318,11 @@ def _violations(path: str) -> list:
             fn = node.name
         allowed = path.endswith(os.path.join("state", "storage.py")) and fn in _CONVERTERS
         bad = None
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            if node.func.attr in ("to_numpy", "to_pandas_dtype") and not allowed:
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and not allowed:
+            if node.func.attr in ("to_numpy", "to_pandas_dtype", "group_by", "read_table"):
                 bad = node.func.attr
+            elif node.func.attr in ("array", "scalar") and _is_name(node.func.value, "pa"):
+                bad = f"pa.{node.func.attr}"
         elif isinstance(node, ast.Import):
             if any(a.name.split(".")[0] == "pandas" for a in node.names):
                 bad = "import pandas"
@@ -288,16 +338,25 @@ def _violations(path: str) -> list:
     return out
 
 
-def test_query_and_state_convert_only_through_storage():
-    found = []
-    for sub in ("query", "state"):
-        for name in sorted(os.listdir(os.path.join(PKG, sub))):
-            if name.endswith(".py"):
-                found += _violations(os.path.join(PKG, sub, name))
-    assert found == []
+def _is_name(node, name: str) -> bool:
+    return isinstance(node, ast.Name) and node.id == name
+
+
+def test_read_and_write_paths_convert_only_through_storage():
+    paths = [os.path.join(PKG, "pipelines", name) for name in ("build.py", "merge.py")]
+    for sub in ("query", "state", "stages"):
+        paths += [
+            os.path.join(PKG, sub, name)
+            for name in sorted(os.listdir(os.path.join(PKG, sub))) if name.endswith(".py")
+        ]
+    assert [v for path in paths for v in _violations(path)] == []
 
 
 def test_static_rule_catches_a_violation(tmp_path):
     p = tmp_path / "bad.py"
-    p.write_text("import pandas as pd\ndef f(t):\n    return t['x'].to_numpy(), t.type.to_pandas_dtype()\n")
-    assert len(_violations(str(p))) == 3
+    p.write_text(
+        "import pandas as pd\nimport pyarrow as pa\ndef f(t):\n"
+        "    return t['x'].to_numpy(), t.type.to_pandas_dtype(), pa.array([1]), pa.scalar(1)\n"
+        "def g(t, pq):\n    return t.group_by('x'), pq.read_table('p')\n"
+    )
+    assert len(_violations(str(p))) == 7

@@ -1,9 +1,16 @@
 """Delete / append / update lifecycle: tombstone masking with unchanged
 collection stats (whoosh deletion parity), append docnum continuity, and
-update-by-unique-key semantics."""
+update-by-unique-key semantics.  A small append (one partition, one shard)
+is built in the calling process: it runs with Ray never initialized, and
+the index still ranks as the oracle does after three of them, a delete
+and an optimize."""
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -452,3 +459,74 @@ def test_score_cache_keeps_one_array_per_list_across_appends(corpus, ray_session
     for key, scores in cached:
         assert isinstance(scores, np.ndarray)
         assert key[-1] == ndocs  # the newest generation's doc count
+
+
+def test_small_append_runs_without_ray_initialized(idx, tmp_path):
+    """A fresh process appends 512 rows, one partition and one shard, with
+    Ray never initialized, and leaves it so."""
+    path = str(tmp_path / "fresh.parquet")
+    generate_transcripts(path, n_turns=512, avg_turn_words=20, seed=43, rows_per_file=512)
+    script = (
+        "import json, ray\n"
+        "from whoosh_reloaded_ray.pipelines import write_ops\n"
+        f"man = write_ops.append_documents({idx!r}, [{path!r}])\n"
+        "print(json.dumps([ray.is_initialized(), man.segments[-1].num_shards]))\n"
+    )
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300,
+        cwd=repo, env={**os.environ, "PYTHONPATH": repo},
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout.strip().splitlines()[-1]) == [False, 1]
+    assert IndexSearcher(idx).manifest.doc_count == 500 + 512
+
+
+def test_in_process_appends_delete_and_optimize_match_oracle(ray_session, tmp_path, monkeypatch):
+    """Three appends built in process, a delete and ``maybe_merge(optimize=
+    True)``: both executors rank as the brute-force oracle does."""
+    from perfbench.oracle import Oracle
+    from perfbench.workloads import KIND_CYCLE, QueryStream, make_corpus, parser, stopwords_of
+    from test_oracle_gate import _wrong_answers
+
+    from whoosh_reloaded_ray.pipelines import build, merge
+    from whoosh_reloaded_ray.pipelines.build import build_index
+
+    corpus = str(tmp_path / "corpus.parquet")
+    generate_transcripts(corpus, n_turns=768, seed=9, rows_per_file=256)
+    texts = pq.read_table(corpus, columns=["text"])["text"].to_pylist()
+    paths = [str(tmp_path / f"b{i}.parquet") for i in range(3)]
+    batches = [make_corpus(p, 128, 20 + i, f"mkinproc{i}x") for i, p in enumerate(paths)]
+    stop = stopwords_of(texts + [t for b in batches for t in b])
+    oracle = Oracle(stop)
+    oracle.add(texts)
+    stream = QueryStream(texts, stop, [9, 1])
+    queries = [stream.next() for _ in range(2 * len(KIND_CYCLE))]
+    idx_dir = str(tmp_path / "idx")
+    build_index([corpus], idx_dir, num_shards=4, partition_rows=256)
+
+    built_here = []
+    build_in_process = build._build_in_process
+
+    def counted(name, *args):
+        built_here.append(name)
+        return build_in_process(name, *args)
+
+    monkeypatch.setattr(build, "_build_in_process", counted)
+    ndocs = len(texts)
+    for i, (path, batch) in enumerate(zip(paths, batches)):
+        write_ops.append_documents(idx_dir, [path])
+        oracle.add(batch)
+        ndocs += len(batch)
+        queries.append(("term", f"mkinproc{i}x", [f"mkinproc{i}x"]))
+    assert len(built_here) == 3
+    rare = next(w for w in stream.vocab if 2 <= stream.counts[w] <= 4)
+    assert write_ops.delete_by_term(idx_dir, "text", rare) > 0
+    deleted = frozenset(oracle.docs_with(rare, ndocs)[0].tolist())
+    queries.append(("or", f"mkinproc1x OR {rare}", ["mkinproc1x", rare]))
+    assert len(merge.maybe_merge(idx_dir, optimize=True).segments) == 1
+
+    qp = parser()
+    for executor in ("local", "ray"):
+        with IndexSearcher(idx_dir, executor=executor, num_actors=1) as s:
+            assert _wrong_answers(s, qp, oracle, queries, ndocs, deleted) == [], executor

@@ -19,6 +19,7 @@ counters (``counters``), which the driver sums per stage
 from __future__ import annotations
 
 import functools
+import sys
 import time
 
 
@@ -81,13 +82,24 @@ def consume_fault_flag(flag_path: str) -> None:
     + task-retry machinery is what recovers.  No-op when the flag file is
     absent, which is always true outside tests (the file lives inside the
     index dir and is only ever created by tests/test_fault_injection.py).
+
+    Fires only inside a Ray worker process: a driver (its local searcher
+    evaluating a query) or a caller writing a segment in process returns
+    at once, without even looking for the flag, and leaves it in place.
     """
     import os
 
-    if not flag_path or not os.path.exists(flag_path):
+    if not _in_ray_worker() or not flag_path or not os.path.exists(flag_path):
         return
     try:
         os.rename(flag_path, flag_path + ".consumed")
     except OSError:
         return  # another worker already consumed it
     os._exit(1)
+
+
+def _in_ray_worker() -> bool:
+    """Whether this process is a Ray worker (a task's or an actor's), not a
+    driver or a process that never started Ray."""
+    ray = sys.modules.get("ray")
+    return ray is not None and ray._private.worker.global_worker.mode == ray.WORKER_MODE

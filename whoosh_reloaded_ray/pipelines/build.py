@@ -23,13 +23,28 @@ take about 12 ms.  Both task functions go through
 ``_rayutil.remote_task``, the one runner of every write task (merge and
 update use it too), which makes each remote once per process.
 
+Which plans run where: every segment of ``build_index``, and an append's or
+update's segment of several partitions or shards, runs as the tasks above.
+An append's or update's segment of one partition and one shard
+(``_build_segment``) has one map step and one write step and nothing to
+overlap them with, so the calling process does both itself
+(``_build_in_process``: read_partition -> Tokenizer -> ShardSegmentWriter),
+as the reference's ``SegmentWriter`` writes a segment in the caller and
+fans out only under ``MpWriter``.  Its postings never leave the process:
+no task, no object-store handoff, no shard sort or IPC round trip, and Ray
+need not be initialized.  Both paths share the steps' work (``_postings``,
+``_write_postings``) and the summing (``_segment_meta``), so they give the
+same files and the same ``SegmentMeta``, busy seconds apart.
+
 Ray retries a map or write task whose worker died; every file write is
 atomic (tmp + rename) and the output is byte-deterministic, so a retry
 yields the same segment.  Tasks hold no CPUs beyond their own run, so a
 build finishes on any cluster size, one CPU included.
 
 Every task returns its counters: rows, bytes and busy seconds (map: source
-rows read and IPC bytes sent; write: postings and file bytes written).
+rows read and IPC bytes sent; write: postings and file bytes written); a
+step run in process counts the same (its map bytes are the postings' IPC
+size, counted without writing them).
 Summed per stage they are the segment's ``metrics``, and the write tasks'
 bytes are its ``index_bytes``.
 
@@ -67,6 +82,7 @@ from ..schema import IndexSchema, transcript_schema
 from ..sources.corpus import Partition, plan_partitions, read_partition
 from ..stages.segment_write import ShardSegmentWriter
 from ..stages.tokenize import Tokenizer
+from ..state import storage
 from ..state.manifest import Manifest, SegmentMeta, commit_manifest, load_manifest
 
 logger = logging.getLogger(__name__)
@@ -277,27 +293,38 @@ def _source_columns(schema: IndexSchema, path: str) -> list:
     )]
 
 
+def _postings(part: Partition, columns: list, tok: Tokenizer, seg_dir: str) -> tuple:
+    """The map step's work, in a task or in the caller: the segment's test
+    hook, then one partition read and tokenized.  Returns its postings, the
+    rows read and the ``time.perf_counter()`` the work started at."""
+    segment_test_hook(seg_dir)
+    t0 = time.perf_counter()
+    batch = read_partition(part, columns=columns)
+    return tok(batch), batch.num_rows, t0
+
+
 def _map_partition(
     part: Partition, columns: list, tok: Tokenizer, num_shards: int, seg_dir: str
 ):
     """Map task: one partition's postings, cut into one slice per shard
     (slice k holds shard k's rows, possibly none), each an Arrow IPC
     stream; then the task's counters (source rows read, slice bytes)."""
-    segment_test_hook(seg_dir)
-    t0 = time.perf_counter()
-    batch = read_partition(part, columns=columns)
-    postings = tok(batch)
+    postings, rows, t0 = _postings(part, columns, tok, seg_dir)
     postings = postings.take(pc.sort_indices(postings, sort_keys=[("shard", "ascending")]))
-    bounds = np.searchsorted(postings["shard"].to_numpy(), np.arange(num_shards + 1))
-    slices = [_to_ipc(postings.slice(a, b - a)) for a, b in zip(bounds[:-1], bounds[1:])]
-    return (*slices, counters(batch.num_rows, sum(s.size for s in slices), t0))
+    bounds = np.searchsorted(storage.as_numpy(postings["shard"]), np.arange(num_shards + 1))
+    slices = [
+        _to_ipc(postings.slice(a, b - a), pa.BufferOutputStream()).getvalue()
+        for a, b in zip(bounds[:-1], bounds[1:])
+    ]
+    return (*slices, counters(rows, sum(s.size for s in slices), t0))
 
 
-def _to_ipc(table: pa.Table) -> pa.Buffer:
-    sink = pa.BufferOutputStream()
+def _to_ipc(table: pa.Table, sink):
+    """``table`` written to ``sink`` as an Arrow IPC stream; returns ``sink``
+    (a ``pa.MockOutputStream`` only counts the bytes)."""
     with pa.ipc.new_stream(sink, table.schema) as writer:
         writer.write_table(table)
-    return sink.getvalue()
+    return sink
 
 
 def _write_shard(seg_dir: str, *slices: pa.Buffer) -> tuple:
@@ -306,6 +333,13 @@ def _write_shard(seg_dir: str, *slices: pa.Buffer) -> tuple:
     counters (postings written, file bytes)."""
     t0 = time.perf_counter()
     table = pa.concat_tables([pa.ipc.open_stream(s).read_all() for s in slices])
+    return _write_postings(seg_dir, table, t0)
+
+
+def _write_postings(seg_dir: str, table: pa.Table, t0: float) -> tuple:
+    """The write step's work, in a task or in the caller: one shard's
+    postings -> its files.  Returns the shard's summary rows and the
+    counters of the work started at ``t0``."""
     rows = ShardSegmentWriter(seg_dir)(table).to_pylist()
     return rows, counters(
         sum(r["n_postings"] for r in rows), sum(r["bytes"] for r in rows), t0
@@ -323,16 +357,19 @@ class _Flight:
     writes: list  # each write task's (summary rows, counters)
 
 
+def _segment_dir(index_dir: str, name: str) -> str:
+    seg_dir = storage.join(index_dir, name)
+    storage.makedirs(seg_dir)
+    return seg_dir
+
+
 def _submit_segment(
     name: str, spec: list, index_dir: str, num_shards: int, columns: list, tok
 ) -> _Flight:
     """First step of a segment build: launch its map tasks and one write
     task per shard, and return their refs without waiting.  ``tok`` is
     the build's ``Tokenizer``, already in the object store."""
-    from ..state import storage
-
-    seg_dir = storage.join(index_dir, name)
-    storage.makedirs(seg_dir)
+    seg_dir = _segment_dir(index_dir, name)
     map_task = remote_task(_map_partition).options(num_returns=num_shards + 1)
     write_task = remote_task(_write_shard)
     outs = [map_task.remote(p, columns, tok, num_shards, seg_dir) for p in spec]
@@ -358,8 +395,15 @@ def _finish_segment(flight: _Flight) -> SegmentMeta:
     import ray
 
     _wait_ended([flight])
-    maps = ray.get(flight.maps)
-    writes = ray.get(flight.writes)
+    return _segment_meta(
+        flight.name, flight.spec, flight.num_shards, ray.get(flight.maps), ray.get(flight.writes)
+    )
+
+
+def _segment_meta(name: str, spec: list, num_shards: int, maps: list, writes: list) -> SegmentMeta:
+    """A built segment's ``SegmentMeta``: ``maps`` are its map steps'
+    counters, ``writes`` its write steps' (summary rows, counters), summed
+    the same way wherever the steps ran."""
     summary = [row for rows, _ in writes for row in rows]
 
     # field totals for avgfl: each shard writer pre-aggregates its doclen
@@ -372,11 +416,11 @@ def _finish_segment(flight: _Flight) -> SegmentMeta:
 
     write = sum_counters(c for _, c in writes)
     meta = SegmentMeta(
-        name=flight.name,
-        doc_base=min(p.base for p in flight.spec),
-        doc_count=sum(p.rows for p in flight.spec),
-        num_shards=flight.num_shards,
-        partitions=flight.spec,
+        name=name,
+        doc_base=min(p.base for p in spec),
+        doc_count=sum(p.rows for p in spec),
+        num_shards=num_shards,
+        partitions=list(spec),
         field_lengths=field_lengths,
         n_terms=sum(s["n_terms"] for s in summary),
         n_postings=sum(s["n_postings"] for s in summary),
@@ -384,7 +428,7 @@ def _finish_segment(flight: _Flight) -> SegmentMeta:
         metrics={"index_bytes": write["bytes"], "map": sum_counters(maps), "write": write},
     )
     logger.info(
-        "built %s: %d docs, %d postings, %.2fs of map and %.2fs of write tasks",
+        "built %s: %d docs, %d postings, %.2fs of map and %.2fs of write work",
         meta.name, meta.doc_count, meta.n_postings,
         meta.metrics["map"]["busy_s"], write["busy_s"],
     )
@@ -398,9 +442,34 @@ def _build_segment(
     schema: IndexSchema,
     num_shards: int,
 ) -> SegmentMeta:
-    """One segment through both steps, nothing else in flight (appends)."""
+    """One segment, nothing else in flight (appends and updates).
+
+    A plan of one partition and one shard has one map step and one write
+    step, with nothing to overlap: it runs in the calling process, read,
+    tokenize and write, with no task, no object-store handoff and no shard
+    sort or IPC round trip, and Ray need not be initialized.  Any other plan
+    goes through ``_submit_segment`` and ``_finish_segment`` as a build's
+    segment does.  Both give the same files and the same ``SegmentMeta``
+    (busy seconds apart)."""
+    columns = _source_columns(schema, spec[0].path)
+    tok = Tokenizer(schema, num_shards=num_shards)
+    if len(spec) == 1 and num_shards == 1:
+        return _build_in_process(name, spec[0], index_dir, columns, tok)
     import ray
 
-    tok = ray.put(Tokenizer(schema, num_shards=num_shards))
-    columns = _source_columns(schema, spec[0].path)
-    return _finish_segment(_submit_segment(name, spec, index_dir, num_shards, columns, tok))
+    return _finish_segment(
+        _submit_segment(name, spec, index_dir, num_shards, columns, ray.put(tok))
+    )
+
+
+def _build_in_process(
+    name: str, part: Partition, index_dir: str, columns: list, tok: Tokenizer
+) -> SegmentMeta:
+    """A one-partition, one-shard segment built in the calling process: the
+    map step's work, then the write step's, counted as the tasks count them
+    (the map's bytes are the postings' IPC size, counted, not written)."""
+    seg_dir = _segment_dir(index_dir, name)
+    postings, rows, t0 = _postings(part, columns, tok, seg_dir)
+    mapped = counters(rows, _to_ipc(postings, pa.MockOutputStream()).size(), t0)
+    written = _write_postings(seg_dir, postings, time.perf_counter())
+    return _segment_meta(name, [part], 1, [mapped], [written])

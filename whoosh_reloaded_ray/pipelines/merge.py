@@ -51,6 +51,7 @@ from ..stages.segment_write import (
     _write_sorted,
 )
 from ..stages.tokenize import _shards_of
+from ..state import storage
 from ..state.manifest import Manifest, SegmentMeta, clean_files, commit_manifest, load_manifest
 
 logger = logging.getLogger(__name__)
@@ -92,18 +93,58 @@ def _term_shards(t: pa.Table, num_shards: int) -> np.ndarray:
     ``Tokenizer._route`` routes them."""
     out = np.empty(t.num_rows, dtype=np.int32)
     fields = pc.dictionary_encode(t["field"].combine_chunks())
-    fcodes = fields.indices.to_numpy()
-    for code, field in enumerate(fields.dictionary.to_pylist()):
+    fcodes = storage.as_numpy(fields.indices)
+    for code, field in enumerate(storage.string_list(fields.dictionary)):
         rows = np.flatnonzero(fcodes == code)
-        terms = pc.dictionary_encode(t["term"].take(pa.array(rows)).combine_chunks())
-        out[rows] = _shards_of(field, terms.dictionary, num_shards)[terms.indices.to_numpy()]
+        terms = pc.dictionary_encode(t["term"].take(storage.from_numpy(rows)).combine_chunks())
+        shards = _shards_of(field, storage.string_list(terms.dictionary), num_shards)
+        out[rows] = shards[storage.as_numpy(terms.indices)]
     return out
 
 
 def _doc_shards(t: pa.Table, num_shards: int) -> np.ndarray:
     """The shard of each doclens row: its docnum modulo ``num_shards``, as
     ``Tokenizer._route`` routes a doc-length row."""
-    return t["docnum"].to_numpy() % num_shards
+    return storage.as_numpy(t["docnum"]) % num_shards
+
+
+def _aggregate_terminfo(ti: pa.Table) -> pa.Table:
+    """One terminfo row per (field, term) of the victims' rows ``ti``, in
+    (field, term) order: doc frequencies and weight sums added up in the
+    victims' order, one add per victim as Arrow's grouped sum adds them (so
+    float weight sums round as they did), bounds taken by min or max.  In
+    numpy: Arrow's ``group_by`` loads ``pyarrow.dataset``, which imports
+    pandas into the merge task's worker."""
+    # a stable sort keeps each term's rows in victim order
+    ti = ti.take(pc.sort_indices(ti, sort_keys=[("field", "ascending"), ("term", "ascending")]))
+    n = ti.num_rows
+    change = np.zeros(n, dtype=bool)
+    change[0] = True
+    for key in ("field", "term"):
+        codes = storage.as_numpy(pc.dictionary_encode(ti[key].combine_chunks()).indices)
+        change[1:] |= codes[1:] != codes[:-1]
+    starts = np.flatnonzero(change)
+    sizes = np.diff(np.append(starts, n))
+
+    def col(name):
+        return storage.as_numpy(ti[name])
+
+    weights, weight_sum = col("weight_sum"), np.zeros(starts.size)
+    for k in range(int(sizes.max())):
+        has = sizes > k
+        weight_sum[has] += weights[starts[has] + k]
+    at = storage.from_numpy(starts)
+    return pa.table({
+        "field": ti["field"].take(at),
+        "term": ti["term"].take(at),
+        "doc_freq": storage.from_numpy(np.add.reduceat(col("doc_freq"), starts)),
+        "weight_sum": storage.from_numpy(weight_sum),
+        "max_weight": storage.from_numpy(np.maximum.reduceat(col("max_weight"), starts)),
+        "doc_min": storage.from_numpy(np.minimum.reduceat(col("doc_min"), starts)),
+        "doc_max": storage.from_numpy(np.maximum.reduceat(col("doc_max"), starts)),
+        "min_len_byte": storage.from_numpy(np.minimum.reduceat(col("min_len_byte"), starts)),
+        "max_len_byte": storage.from_numpy(np.maximum.reduceat(col("max_len_byte"), starts)),
+    })
 
 
 def _merge_shard(index_dir: str, victims: list, new_name: str, shard: int, num_shards: int) -> dict:
@@ -122,8 +163,6 @@ def _merge_shard(index_dir: str, victims: list, new_name: str, shard: int, num_s
     A task of its own (``merge_segments``): every write is atomic and the
     output byte-deterministic, so Ray's retry after a worker death rewrites
     the same files."""
-    from ..state import storage
-
     # fault-injection hook (tests only; see _rayutil.consume_fault_flag): a
     # flag file at the index root crashes exactly one merge task's worker
     consume_fault_flag(storage.join(index_dir, ".fault_crash_merger"))
@@ -141,7 +180,7 @@ def _merge_shard(index_dir: str, victims: list, new_name: str, shard: int, num_s
                     continue
                 t = storage.read_parquet(p)
                 if n != num_shards:
-                    t = t.filter(pa.array(route(t, num_shards) == shard))
+                    t = t.filter(storage.from_numpy(route(t, num_shards) == shard))
                 if t.num_rows:
                     tables.append(t)
         return pa.concat_tables(tables) if tables else None
@@ -163,28 +202,7 @@ def _merge_shard(index_dir: str, victims: list, new_name: str, shard: int, num_s
 
     ti = read(TERMINFO_FILE, _term_shards)
     if ti is not None:
-        agg = ti.group_by(["field", "term"]).aggregate(
-            [
-                ("doc_freq", "sum"),
-                ("weight_sum", "sum"),
-                ("max_weight", "max"),
-                ("doc_min", "min"),
-                ("doc_max", "max"),
-                ("min_len_byte", "min"),
-                ("max_len_byte", "max"),
-            ]
-        )
-        agg = agg.rename_columns(
-            ["field", "term", "doc_freq", "weight_sum", "max_weight",
-             "doc_min", "doc_max", "min_len_byte", "max_len_byte"]
-        )
-        # restore the writer's exact column types + (field, term) sort order
-        agg = agg.set_column(4, "max_weight", pc.cast(agg["max_weight"], pa.float32()))
-        agg = agg.set_column(7, "min_len_byte", pc.cast(agg["min_len_byte"], pa.uint8()))
-        agg = agg.set_column(8, "max_len_byte", pc.cast(agg["max_len_byte"], pa.uint8()))
-        agg = agg.take(
-            pc.sort_indices(agg, sort_keys=[("field", "ascending"), ("term", "ascending")])
-        )
+        agg = _aggregate_terminfo(ti)
         nbytes += _write_sorted(agg, storage.join(out_dir, TERMINFO_FILE.format(shard=shard)))
         files.append(TERMINFO_FILE.format(shard=shard))
         stats["n_terms"] = agg.num_rows
@@ -206,8 +224,6 @@ def merge_segments(index_dir: str, victims: list, new_name: str, cap: int) -> Se
     ``_merge_shard`` task per output shard; returns the new SegmentMeta
     (not yet committed)."""
     import ray
-
-    from ..state import storage
 
     num_shards = shard_count(sum(s.doc_count for s in victims), cap)
     storage.makedirs(storage.join(index_dir, new_name))

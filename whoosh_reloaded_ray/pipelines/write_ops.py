@@ -97,7 +97,11 @@ def append_documents(
     ``partition_rows`` defaults to 250,000.  An explicit ``num_shards`` is
     used as given; without one the segment gets ``build.shard_count`` of
     its rows, capped at the index's configured count
-    (``build.shard_cap``), so a small batch writes one shard's files."""
+    (``build.shard_cap``), so a small batch writes one shard's files.
+
+    A plan of one partition (one file, at most ``partition_rows`` rows) and
+    one shard is read, tokenized and written in this process, Ray not
+    needed; any other plan runs as the build's map and write tasks."""
     from ..sources.corpus import plan_partitions
     from .build import _build_segment, shard_cap, shard_count
 
@@ -167,8 +171,9 @@ def update_documents(
     """Replace docs whose unique-key tuple matches an incoming row, then
     append the incoming rows (reference update_document semantics:
     delete-by-unique-terms then add, writing.py:439-502).  The appended
-    segment's shard count follows ``append_documents``: ``num_shards`` as
-    given, or sized by its rows.
+    segment's shard count, and where it is built, follow
+    ``append_documents``: ``num_shards`` as given, or sized by its rows,
+    and a plan of one partition and one shard built in this process.
 
     The delete side is a DISTRIBUTED broadcast semi-join: the incoming key
     tuples are hashed once and ``ray.put`` once; one Ray task per source

@@ -233,27 +233,32 @@ def topk_wand(
             docs, s = docs[m], s[m]
         if info["boost"] != 1.0:
             s = s * info["boost"]
-        # merge into partials: both sides doc-sorted and internally unique,
-        # so one stable sort + run-boundary reduceat replaces
-        # union1d + np.add.at (buffered ufunc.at is the slow path)
-        alld = np.concatenate([pdocs, docs])
-        if alld.size == 0:
-            continue
-        alls = np.concatenate([pscores, s])
-        if pdocs.size and docs.size:
+        if not docs.size:
+            continue  # the partials, and so theta, stay as they are
+        if not pdocs.size:
+            # the first list is the partials as it is: doc-sorted and
+            # unique, and never written to (every later merge builds new
+            # arrays), so a cached list or score array is safe to hold
+            pdocs, pscores = docs, s
+        else:
+            # merge into partials: both sides doc-sorted and internally
+            # unique, so one stable sort + run-boundary reduceat replaces
+            # union1d + np.add.at (buffered ufunc.at is the slow path)
+            alld = np.concatenate([pdocs, docs])
+            alls = np.concatenate([pscores, s])
             order = np.argsort(alld, kind="stable")
             alld = alld[order]
             alls = alls[order]
-        newmask = np.empty(alld.size, dtype=bool)
-        newmask[0] = True
-        np.not_equal(alld[1:], alld[:-1], out=newmask[1:])
-        starts = np.flatnonzero(newmask)
-        pdocs = alld[starts]
-        pscores = (
-            np.maximum.reduceat(alls, starts)
-            if mode == "max"
-            else np.add.reduceat(alls, starts)
-        )
+            newmask = np.empty(alld.size, dtype=bool)
+            newmask[0] = True
+            np.not_equal(alld[1:], alld[:-1], out=newmask[1:])
+            starts = np.flatnonzero(newmask)
+            pdocs = alld[starts]
+            pscores = (
+                np.maximum.reduceat(alls, starts)
+                if mode == "max"
+                else np.add.reduceat(alls, starts)
+            )
         if pscores.size >= k:
             theta = max(
                 theta,

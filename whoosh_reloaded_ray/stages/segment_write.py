@@ -42,6 +42,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..functions.varint import binary_array_from_offsets, encode_varints_with_offsets
+from ..state import storage
 from .tokenize import LEN_SENTINEL
 
 BLOCK_LIMIT = 128  # postings per block (reference codec constant)
@@ -54,6 +55,10 @@ TERMINFO_FILE = "terminfo-{shard:04d}.parquet"
 DOCLENS_FILE = "doclens-{shard:04d}.parquet"
 
 
+# LEN_SENTINEL as an Arrow scalar: comparing with a Python str would convert
+# it through pyarrow's pandas layer
+_SENTINEL = storage.from_strings([LEN_SENTINEL])[0]
+
 # parquet key-value metadata entry of a file sorted by (field, term): per
 # row group, its first and last key, as JSON [[field, term, field, term], ...]
 ROW_GROUP_KEYS = b"row_group_keys"
@@ -61,8 +66,6 @@ ROW_GROUP_ROWS = 8192
 
 
 def _atomic_write(tbl: pa.Table, path: str) -> int:
-    from ..state import storage
-
     return storage.write_parquet_atomic(tbl, path, row_group_size=ROW_GROUP_ROWS)
 
 
@@ -75,20 +78,16 @@ def _write_sorted(tbl: pa.Table, path: str) -> int:
     n = tbl.num_rows
     starts = np.arange(0, n, ROW_GROUP_ROWS)
     ends = np.minimum(starts + ROW_GROUP_ROWS, n) - 1
-    at = pa.array(np.stack([starts, ends], axis=1).ravel())
-    keys = list(zip(tbl["field"].take(at).to_pylist(), tbl["term"].take(at).to_pylist()))
+    at = storage.from_numpy(np.stack([starts, ends], axis=1).ravel())
+    keys = list(zip(
+        storage.string_list(tbl["field"].take(at)), storage.string_list(tbl["term"].take(at))
+    ))
     rows = [[*keys[i], *keys[i + 1]] for i in range(0, len(keys), 2)]
     tbl = tbl.replace_schema_metadata({ROW_GROUP_KEYS: json.dumps(rows)})
     return _atomic_write(tbl, path)
 
 
 _binary_from_offsets = binary_array_from_offsets
-
-
-def _storage_join(base, *parts):
-    from ..state import storage
-
-    return storage.join(base, *parts)
 
 
 @dataclass
@@ -100,7 +99,8 @@ class ShardWriteResult:
 
 
 class ShardSegmentWriter:
-    """Build write task body: one call = one shard's full posting set
+    """The write step's body (a write task, or the caller of a
+    one-partition, one-shard append): one call = one shard's full posting set
     (POSTING_SCHEMA rows, any order) -> that shard's files + a summary row
     (its term, posting and file byte counts, per-field length sums and the
     names of the files it wrote)."""
@@ -125,7 +125,7 @@ class ShardSegmentWriter:
         group = group.combine_chunks()
 
         # --- split sentinel doc-length rows from real postings
-        is_len = pc.equal(group["term"], LEN_SENTINEL)
+        is_len = pc.equal(group["term"], _SENTINEL)
         doclens = group.filter(is_len)
         posts = group.filter(pc.invert(is_len))
 
@@ -148,17 +148,17 @@ class ShardSegmentWriter:
                 }
             )
             dl_bytes = _atomic_write(
-                dl_tbl, _storage_join(self.seg_dir, DOCLENS_FILE.format(shard=shard))
+                dl_tbl, storage.join(self.seg_dir, DOCLENS_FILE.format(shard=shard))
             )
             files.append(DOCLENS_FILE.format(shard=shard))
-            agg = dl_tbl.group_by("field").aggregate([("length", "sum")])
+            fields = pc.dictionary_encode(dl_tbl["field"].combine_chunks())
+            sums = np.bincount(
+                storage.as_numpy(fields.indices),
+                weights=storage.as_numpy(dl_tbl["length"]),
+                minlength=len(fields.dictionary),
+            )
             fl_json = json.dumps(
-                {
-                    f: int(s)
-                    for f, s in zip(
-                        agg["field"].to_pylist(), agg["length_sum"].to_pylist()
-                    )
-                },
+                {f: int(s) for f, s in zip(storage.string_list(fields.dictionary), sums)},
                 sort_keys=True,
             )
 
@@ -178,13 +178,13 @@ class ShardSegmentWriter:
 
         fields = posts["field"]
         terms = posts["term"]
-        docs = posts["docnum"].to_numpy()
-        weights = posts["weight"].to_numpy()
-        lens = posts["len_byte"].to_numpy()
+        docs = storage.as_numpy(posts["docnum"])
+        weights = storage.as_numpy(posts["weight"])
+        lens = storage.as_numpy(posts["len_byte"])
 
         # --- term run boundaries via dictionary codes (vectorized)
-        fcodes = pc.dictionary_encode(fields.chunk(0)).indices.to_numpy()
-        tcodes = pc.dictionary_encode(terms.chunk(0)).indices.to_numpy()
+        fcodes = storage.as_numpy(pc.dictionary_encode(fields.chunk(0)).indices)
+        tcodes = storage.as_numpy(pc.dictionary_encode(terms.chunk(0)).indices)
         change = np.empty(n, dtype=bool)
         change[0] = True
         np.not_equal(tcodes[1:], tcodes[:-1], out=change[1:])
@@ -263,16 +263,17 @@ class ShardSegmentWriter:
         # --- per-block stats
         blk_max_w = np.maximum.reduceat(weights, block_starts)
         blk_min_len = np.minimum.reduceat(lens, block_starts)
+        at = storage.from_numpy(block_starts)
         blk = pa.table(
             {
-                "field": fields.take(pa.array(block_starts)),
-                "term": terms.take(pa.array(block_starts)),
-                "count": pa.array((block_ends - block_starts).astype(np.int32)),
-                "doc_min": pa.array(docs[block_starts], type=pa.uint64()),
-                "doc_max": pa.array(docs[block_ends - 1], type=pa.uint64()),
-                "max_weight": pa.array(blk_max_w, type=pa.float32()),
-                "min_len_byte": pa.array(blk_min_len, type=pa.uint8()),
-                "wflag": pa.array(np.full(n_blocks, wflag, dtype=np.uint8)),
+                "field": fields.take(at),
+                "term": terms.take(at),
+                "count": storage.from_numpy((block_ends - block_starts).astype(np.int32)),
+                "doc_min": storage.from_numpy(docs[block_starts]),
+                "doc_max": storage.from_numpy(docs[block_ends - 1]),
+                "max_weight": storage.from_numpy(blk_max_w),
+                "min_len_byte": storage.from_numpy(blk_min_len),
+                "wflag": storage.from_numpy(np.full(n_blocks, wflag, dtype=np.uint8)),
                 "docs": doc_col,
                 "weights": w_col,
                 "lens": len_col,
@@ -283,27 +284,28 @@ class ShardSegmentWriter:
             }
         )
         nbytes = _write_sorted(
-            blk, _storage_join(self.seg_dir, POSTINGS_FILE.format(shard=shard))
+            blk, storage.join(self.seg_dir, POSTINGS_FILE.format(shard=shard))
         )
 
         # --- terminfo (per-term stats)
+        at = storage.from_numpy(term_starts)
         ti = pa.table(
             {
-                "field": fields.take(pa.array(term_starts)),
-                "term": terms.take(pa.array(term_starts)),
-                "doc_freq": pa.array(run_lens.astype(np.int64)),
-                "weight_sum": pa.array(np.add.reduceat(weights.astype(np.float64), term_starts)),
-                "max_weight": pa.array(
-                    np.maximum.reduceat(weights, term_starts), type=pa.float32()
+                "field": fields.take(at),
+                "term": terms.take(at),
+                "doc_freq": storage.from_numpy(run_lens.astype(np.int64)),
+                "weight_sum": storage.from_numpy(
+                    np.add.reduceat(weights.astype(np.float64), term_starts)
                 ),
-                "doc_min": pa.array(docs[term_starts], type=pa.uint64()),
-                "doc_max": pa.array(docs[term_ends - 1], type=pa.uint64()),
-                "min_len_byte": pa.array(np.minimum.reduceat(lens, term_starts), type=pa.uint8()),
-                "max_len_byte": pa.array(np.maximum.reduceat(lens, term_starts), type=pa.uint8()),
+                "max_weight": storage.from_numpy(np.maximum.reduceat(weights, term_starts)),
+                "doc_min": storage.from_numpy(docs[term_starts]),
+                "doc_max": storage.from_numpy(docs[term_ends - 1]),
+                "min_len_byte": storage.from_numpy(np.minimum.reduceat(lens, term_starts)),
+                "max_len_byte": storage.from_numpy(np.maximum.reduceat(lens, term_starts)),
             }
         )
         nbytes += _write_sorted(
-            ti, _storage_join(self.seg_dir, TERMINFO_FILE.format(shard=shard))
+            ti, storage.join(self.seg_dir, TERMINFO_FILE.format(shard=shard))
         )
         return ShardWriteResult(shard=shard, n_terms=n_terms, n_postings=n, bytes=nbytes)
 
@@ -314,23 +316,21 @@ def _summary_table(
 ) -> pa.Table:
     # one row per non-empty shard (postings and/or doclens); empty groups
     # return a zero-row table with the same schema
-    empty = result is None and fl_json == "{}"
-    rows = [] if empty else [0]
+    n = 0 if result is None and fl_json == "{}" else 1
+
+    def column(value, dtype):
+        return storage.from_numpy(np.full(n, value, dtype))
+
     return pa.table(
         {
-            "shard": pa.array([shard for _ in rows], type=pa.int32()),
-            "n_terms": pa.array(
-                [result.n_terms if result else 0 for _ in rows], type=pa.int64()
+            "shard": column(shard, np.int32),
+            "n_terms": column(result.n_terms if result else 0, np.int64),
+            "n_postings": column(result.n_postings if result else 0, np.int64),
+            "field_lengths_json": storage.from_strings([fl_json] * n),
+            "bytes": column(dl_bytes + (result.bytes if result else 0), np.int64),
+            "files": pa.ListArray.from_arrays(
+                storage.from_numpy(np.array([0, len(files)][: n + 1], np.int32)),
+                storage.from_strings(files if n else []),
             ),
-            "n_postings": pa.array(
-                [result.n_postings if result else 0 for _ in rows], type=pa.int64()
-            ),
-            "field_lengths_json": pa.array(
-                [fl_json for _ in rows], type=pa.string()
-            ),
-            "bytes": pa.array(
-                [dl_bytes + (result.bytes if result else 0) for _ in rows], type=pa.int64()
-            ),
-            "files": pa.array([files for _ in rows], type=pa.list_(pa.string())),
         }
     )

@@ -2,7 +2,8 @@
 
 Replaces the reference's row-at-a-time ``add_document`` + PostingPool
 (writing.py:748-822): one call turns a batch of documents (one partition,
-inside a build map task) into an Arrow posting table
+inside a build map task, or in the caller for a one-partition, one-shard
+append) into an Arrow posting table
 
     (field, term, docnum, weight, positions, len_byte, shard)
 
@@ -42,6 +43,7 @@ from ..functions.analysis import make_analyzer
 from ..functions.quant import length_to_byte, lengths_to_bytes
 from ..functions.varint import binary_array_from_offsets, encode_varints, encode_varints_with_offsets
 from ..schema import IndexSchema
+from ..state import storage
 
 LEN_SENTINEL = "\x00"
 
@@ -80,17 +82,22 @@ def _shard_of(field: str, term: str, num_shards: int) -> int:
     return zlib.crc32(f"{field}:{term}".encode("utf-8")) % num_shards
 
 
-def _shards_of(field: str, terms: pa.Array, num_shards: int) -> np.ndarray:
-    """``_shard_of(field, t, num_shards)`` of each string in ``terms``, its
+def _shards_of(field: str, terms: list, num_shards: int) -> np.ndarray:
+    """``_shard_of(field, t, num_shards)`` of each str in ``terms``, its
     crc32 continued from the field prefix's (equal, without a string join
-    per term); to_numpy, as to_pylist takes several times as long."""
+    per term)."""
     prefix = zlib.crc32(f"{field}:".encode("utf-8"))
     return np.array(
-        [
-            zlib.crc32(t.encode("utf-8"), prefix) % num_shards
-            for t in terms.to_numpy(zero_copy_only=False)
-        ],
-        dtype=np.int32,
+        [zlib.crc32(t.encode("utf-8"), prefix) % num_shards for t in terms], dtype=np.int32
+    )
+
+
+def _repeat(value, n: int, typ=pa.string()) -> pa.DictionaryArray:
+    """``n`` copies of ``value`` (str, or bytes for a binary ``typ``): a
+    dictionary array of that one value, which ``dictionary_decode`` turns
+    into a plain array by one Arrow take."""
+    return pa.DictionaryArray.from_arrays(
+        storage.from_numpy(np.zeros(n, np.int32)), storage.from_strings([value], typ)
     )
 
 
@@ -166,14 +173,14 @@ class Tokenizer:
         if not (have_f or have_d):
             return None
         doc = (
-            batch["_boost"].to_numpy(zero_copy_only=False).astype(np.float64)
+            storage.as_numpy(batch["_boost"]).astype(np.float64)
             if have_d
             else np.ones(len(batch), dtype=np.float64)
         )
         doc = np.where(np.isnan(doc), 1.0, doc)
         if not have_f:
             return doc
-        fld = batch[key].to_numpy(zero_copy_only=False).astype(np.float64)
+        fld = storage.as_numpy(batch[key]).astype(np.float64)
         return np.where(np.isnan(fld), doc, fld)
 
     @staticmethod
@@ -211,7 +218,7 @@ class Tokenizer:
         minsize = analyzer_spec.minsize
         maxsize = analyzer_spec.maxsize
 
-        texts = batch[fname].to_pylist()
+        texts = storage.string_list(batch[fname])
         valid = np.array([t is not None for t in texts])
         if pat.groups:
             # group-bearing patterns (e.g. the reference url_pattern) must
@@ -225,7 +232,7 @@ class Tokenizer:
         counts = np.fromiter((len(r) for r in toks_per_row), dtype=np.int64, count=len(texts))
         n = int(counts.sum())
         row_idx = np.repeat(np.arange(len(texts)), counts)
-        arr = pa.array(list(itertools.chain.from_iterable(toks_per_row)), type=pa.string())
+        arr = storage.from_strings(list(itertools.chain.from_iterable(toks_per_row)))
         if analyzer_spec.lowercase:
             # arrow's utf8_lower diverges from Python str.lower on a few
             # codepoints (Turkish dotted I, Greek final sigma) — the
@@ -234,24 +241,23 @@ class Tokenizer:
             if n == 0 or pc.all(pc.string_is_ascii(arr)).as_py():
                 arr = pc.ascii_lower(arr)
             else:
-                arr = pa.array([v.lower() for v in arr.to_pylist()], pa.string())
+                arr = storage.from_strings([v.lower() for v in storage.string_list(arr)])
 
         # dictionary-encode FIRST: stop/size masks computed once per UNIQUE
         # term (a few thousand) instead of per token (hundreds of thousands)
         denc = pc.dictionary_encode(arr)
-        codes = denc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+        codes = storage.as_numpy(denc.indices).astype(np.int64)
         uniques = denc.dictionary
         nu = len(uniques)
         keep_u = np.ones(nu, dtype=bool)
-        ulen = pc.utf8_length(uniques).to_numpy(zero_copy_only=False)
+        ulen = storage.as_numpy(pc.utf8_length(uniques))
         if minsize:
             keep_u &= ulen >= minsize
         if maxsize is not None:
             keep_u &= ulen <= maxsize
         if stops:
-            keep_u &= ~pc.is_in(uniques, value_set=pa.array(list(stops), pa.string())).to_numpy(
-                zero_copy_only=False
-            )
+            stop_set = storage.from_strings(list(stops))
+            keep_u &= ~storage.as_numpy(pc.is_in(uniques, value_set=stop_set))
         keep = keep_u[codes] if n else np.zeros(0, dtype=bool)
 
         # positions: pre-filter index within row, then whoosh renumbering
@@ -265,9 +271,8 @@ class Tokenizer:
         rts_safe = np.minimum(row_tok_start, max(n - 1, 0))
         base = np.repeat(csum[rts_safe] - keep[rts_safe], counts) if n else np.zeros(0, np.int64)
         srank = csum - base  # 1-based survivor rank within row (on survivors)
-        survivors_per_row = np.zeros(len(texts), dtype=np.int64)
-        if n:
-            np.add.at(survivors_per_row, row_idx, keep)
+        r_f = row_idx[keep]
+        survivors_per_row = np.bincount(r_f, minlength=len(texts))
         # first survivor's pre-filter position per row, scattered back
         p_first = np.zeros(len(texts), dtype=np.int64)
         first_mask = keep & (srank == 1)
@@ -275,7 +280,6 @@ class Tokenizer:
         pos_final = np.repeat(p_first, counts) + srank - 1
 
         # filtered posting stream
-        r_f = row_idx[keep]
         c_f = codes[keep]
         p_f = pos_final[keep]
 
@@ -314,34 +318,33 @@ class Tokenizer:
         else:
             pos_col = pa.nulls(len(gstart), pa.binary())
 
-        out["field"].append(pa.array(np.full(len(gstart), fname, dtype=object), pa.string()))
+        out["field"].append(_repeat(fname, len(gstart)).dictionary_decode())
         # dictionary-encoded, so _route hashes each distinct term once
-        out["term"].append(pa.DictionaryArray.from_arrays(pa.array(g_code, pa.int64()), uniques))
-        out["docnum"].append(pa.array(g_doc.astype(np.uint64), pa.uint64()))
+        out["term"].append(pa.DictionaryArray.from_arrays(storage.from_numpy(g_code), uniques))
+        out["docnum"].append(storage.from_numpy(g_doc.astype(np.uint64)))
         w = np.ones_like(gcount, dtype=np.float64) if unit_weight else gcount * boost
         rb = self._row_boosts(fname, batch)
         if not unit_weight and rb is not None and ks.size:
             w = w * rb[g_row]
-        out["weight"].append(pa.array(w.astype(np.float32), pa.float32()))
+        out["weight"].append(storage.from_numpy(w.astype(np.float32)))
         out["positions"].append(pos_col)
         out["chars"].append(pa.nulls(len(gstart), pa.binary()))
         out["boosts"].append(pa.nulls(len(gstart), pa.binary()))
         out["payload"].append(pa.nulls(len(gstart), pa.binary()))
-        out["len_byte"].append(pa.array(g_lb, pa.uint8()))
+        out["len_byte"].append(storage.from_numpy(g_lb))
 
         if scorable:
             # sentinel doc-length rows for every non-null row
             v = np.flatnonzero(valid)
-            out["field"].append(pa.array(np.full(v.size, fname, dtype=object), pa.string()))
-            # NB: np.full(n, "\x00") silently yields "" (C-string fill)
-            out["term"].append(pa.array([LEN_SENTINEL] * v.size, pa.string()))
-            out["docnum"].append(pa.array(docnums[v].astype(np.uint64), pa.uint64()))
-            out["weight"].append(pa.array(survivors_per_row[v].astype(np.float32), pa.float32()))
+            out["field"].append(_repeat(fname, v.size).dictionary_decode())
+            out["term"].append(_repeat(LEN_SENTINEL, v.size))  # decoded by _route
+            out["docnum"].append(storage.from_numpy(docnums[v].astype(np.uint64)))
+            out["weight"].append(storage.from_numpy(survivors_per_row[v].astype(np.float32)))
             out["positions"].append(pa.nulls(v.size, pa.binary()))
             out["chars"].append(pa.nulls(v.size, pa.binary()))
             out["boosts"].append(pa.nulls(v.size, pa.binary()))
             out["payload"].append(pa.nulls(v.size, pa.binary()))
-            out["len_byte"].append(pa.array(lb_rows[v], pa.uint8()))
+            out["len_byte"].append(storage.from_numpy(lb_rows[v]))
 
     def _vector_id_field(self, fname, aspec, keep_pos, boost, batch, docnums, out):
         """Vectorized IDTokenizer: whole value = one token at pos 1
@@ -353,30 +356,28 @@ class Tokenizer:
         arr = col
         if aspec.lowercase:
             arr = pc.utf8_lower(arr)
-        ok = pc.and_(pc.is_valid(arr), pc.not_equal(arr, "")).to_numpy(zero_copy_only=False)
-        idx = np.flatnonzero(ok)
-        out["field"].append(pa.array(np.full(idx.size, fname, dtype=object), pa.string()))
-        out["term"].append(arr.take(pa.array(idx, pa.int64())))
-        out["docnum"].append(pa.array(docnums[idx].astype(np.uint64), pa.uint64()))
+        # a null's length reads NaN: neither nulls nor "" make a posting
+        idx = np.flatnonzero(storage.as_numpy(pc.binary_length(arr)) > 0)
+        out["field"].append(_repeat(fname, idx.size).dictionary_decode())
+        out["term"].append(arr.take(storage.from_numpy(idx)))
+        out["docnum"].append(storage.from_numpy(docnums[idx].astype(np.uint64)))
         w_id = np.full(idx.size, boost, dtype=np.float64)
         rb = self._row_boosts(fname, batch)
         if rb is not None and idx.size:
             w_id *= rb[idx]
-        out["weight"].append(pa.array(w_id.astype(np.float32), pa.float32()))
+        out["weight"].append(storage.from_numpy(w_id.astype(np.float32)))
         if keep_pos:
             # every id posting is one token at position 1: stream = [1, 1]
-            out["positions"].append(
-                pa.array([b"\x01\x01"] * idx.size, pa.binary())
-            )
+            out["positions"].append(_repeat(b"\x01\x01", idx.size, pa.binary()).dictionary_decode())
         else:
             out["positions"].append(pa.nulls(idx.size, pa.binary()))
         out["chars"].append(pa.nulls(idx.size, pa.binary()))
         out["boosts"].append(pa.nulls(idx.size, pa.binary()))
         out["payload"].append(pa.nulls(idx.size, pa.binary()))
-        out["len_byte"].append(pa.array(np.zeros(idx.size, dtype=np.uint8), pa.uint8()))
+        out["len_byte"].append(storage.from_numpy(np.zeros(idx.size, dtype=np.uint8)))
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        docnums = batch["docnum"].to_numpy(zero_copy_only=False)
+        docnums = storage.as_numpy(batch["docnum"])
         out = {k: [] for k in POSTING_SCHEMA.names}
         for i, spec_tuple in enumerate(self.specs):
             fname, aspec, scorable, keep_pos, boost = spec_tuple
@@ -420,13 +421,10 @@ class Tokenizer:
                 unit_weight=True,
             )
             self._route(spell_name, out, first)
-        cols = []
-        for name in POSTING_SCHEMA.names:
-            chunks = out[name]
-            if chunks:
-                cols.append(pa.chunked_array(chunks).combine_chunks())
-            else:
-                cols.append(pa.array([], type=POSTING_SCHEMA.field(name).type))
+        cols = [
+            pa.chunked_array(out[f.name]).combine_chunks() if out[f.name] else pa.nulls(0, f.type)
+            for f in POSTING_SCHEMA
+        ]
         return pa.Table.from_arrays(cols, schema=POSTING_SCHEMA)
 
     def _route(self, fname, out, first):
@@ -439,23 +437,26 @@ class Tokenizer:
         * a sentinel doc-length row goes to ``docnum % num_shards``, so doc
           lengths spread evenly.
 
-        A term chunk may come dictionary-encoded; it is decoded here."""
+        With one shard every row goes to shard 0, and nothing is hashed.  A
+        term chunk may come dictionary-encoded; it is decoded here."""
         R = self.num_shards
         for k in range(first, len(out["term"])):
             terms = out["term"][k]
             if pa.types.is_dictionary(terms.type):
-                out["term"][k] = terms.dictionary.take(terms.indices)
-            else:
+                out["term"][k] = terms.dictionary_decode()
+            if R == 1:
+                out["shard"].append(storage.from_numpy(np.zeros(len(terms), np.int32)))
+                continue
+            if not pa.types.is_dictionary(terms.type):
                 terms = pc.dictionary_encode(terms)
-            uniques = terms.dictionary
-            codes = terms.indices.to_numpy(zero_copy_only=False)
+            uniques = storage.string_list(terms.dictionary)
+            codes = storage.as_numpy(terms.indices)
             shard = _shards_of(fname, uniques, R)[codes]
-            code = pc.index(uniques, LEN_SENTINEL).as_py()
-            if code >= 0:
-                m = codes == code
-                docs = out["docnum"][k].to_numpy(zero_copy_only=False).astype(np.int64)
+            if LEN_SENTINEL in uniques:
+                m = codes == uniques.index(LEN_SENTINEL)
+                docs = storage.as_numpy(out["docnum"][k]).astype(np.int64)
                 shard[m] = docs[m] % R
-            out["shard"].append(pa.array(shard, pa.int32()))
+            out["shard"].append(storage.from_numpy(shard))
 
     def _span_tokens(self, fname, aspec):
         """text -> [(term, position, startchar, endchar, boost)] for a
@@ -536,10 +537,10 @@ class Tokenizer:
         tokens = self._span_tokens(fname, aspec)
         want_boosts = fname in self.boosts_fields
 
-        fields_out, terms_out, docs_out = [], [], []
+        terms_out, docs_out = [], []
         weights_out, pos_out, chars_out, boosts_out, lens_out = [], [], [], [], []
         rb = self._row_boosts(fname, batch)
-        for i, text in enumerate(batch[fname].to_pylist()):
+        for i, text in enumerate(storage.string_list(batch[fname])):
             if text is None:
                 continue
             docnum = int(docnums[i])
@@ -559,7 +560,6 @@ class Tokenizer:
             length = len(surv)
             lb = length_to_byte(length) if scorable else 0
             for term, (w, poss, spans, tboosts) in agg.items():
-                fields_out.append(fname)
                 terms_out.append(term)
                 docs_out.append(docnum)
                 weights_out.append(w)
@@ -584,7 +584,6 @@ class Tokenizer:
                 boosts_out.append(self._encode_boosts(tboosts) if want_boosts else None)
                 lens_out.append(lb)
             if scorable:
-                fields_out.append(fname)
                 terms_out.append(LEN_SENTINEL)
                 docs_out.append(docnum)
                 weights_out.append(float(length))
@@ -593,20 +592,15 @@ class Tokenizer:
                 boosts_out.append(None)
                 lens_out.append(lb)
 
-        out["field"].append(pa.array(fields_out, type=pa.string()))
-        out["term"].append(pa.array(terms_out, type=pa.string()))
-        out["docnum"].append(pa.array(docs_out, type=pa.uint64()))
-        out["weight"].append(pa.array(weights_out, type=pa.float32()))
-        out["positions"].append(pa.array(pos_out, type=pa.binary()))
-        out["chars"].append(pa.array(chars_out, type=pa.binary()))
-        out["boosts"].append(pa.array(boosts_out, type=pa.binary()))
-        out["payload"].append(pa.nulls(len(fields_out), pa.binary()))
-        out["len_byte"].append(pa.array(lens_out, type=pa.uint8()))
+        _append_rows(
+            out, fname, terms_out, docs_out, weights_out, lens_out,
+            positions=pos_out, chars=chars_out, boosts=boosts_out,
+        )
 
     def _loop_field(self, analyzer_tuple, batch, docnums, out):
         """Row-at-a-time fallback for stateful/exotic analyzers (stemming,
         ngram, id, keyword)."""
-        fields_out, terms_out, docs_out = [], [], []
+        terms_out, docs_out = [], []
         weights_out, pos_out, boosts_out, lens_out = [], [], [], []
         payload_out: list = []
 
@@ -641,7 +635,6 @@ class Tokenizer:
                 length = len(toks)
                 lb = length_to_byte(length) if scorable else 0
                 for term, (w, poss, tboosts) in agg.items():
-                    fields_out.append(fname)
                     terms_out.append(term)
                     docs_out.append(docnum)
                     if fmt is not None:
@@ -683,7 +676,6 @@ class Tokenizer:
                     lens_out.append(lb)
                 if scorable:
                     # sentinel doc-length row
-                    fields_out.append(fname)
                     terms_out.append(LEN_SENTINEL)
                     docs_out.append(docnum)
                     weights_out.append(float(length))
@@ -692,12 +684,25 @@ class Tokenizer:
                     payload_out.append(None)
                     lens_out.append(lb)
 
-        out["field"].append(pa.array(fields_out, type=pa.string()))
-        out["term"].append(pa.array(terms_out, type=pa.string()))
-        out["docnum"].append(pa.array(docs_out, type=pa.uint64()))
-        out["weight"].append(pa.array(weights_out, type=pa.float32()))
-        out["positions"].append(pa.array(pos_out, type=pa.binary()))
-        out["chars"].append(pa.nulls(len(fields_out), pa.binary()))
-        out["boosts"].append(pa.array(boosts_out, type=pa.binary()))
-        out["payload"].append(pa.array(payload_out, type=pa.binary()))
-        out["len_byte"].append(pa.array(lens_out, type=pa.uint8()))
+        _append_rows(
+            out, fname, terms_out, docs_out, weights_out, lens_out,
+            positions=pos_out, boosts=boosts_out, payload=payload_out,
+        )
+
+
+def _append_rows(out, fname, terms, docs, weights, lens, **blobs) -> None:
+    """Append one field's loop-path postings, each a row of the Python lists
+    ``terms``, ``docs``, ``weights``, ``lens`` and of the ``blobs`` lists
+    (bytes or None) named by their column; a blob column not given is all
+    null."""
+    n = len(terms)
+    out["field"].append(_repeat(fname, n).dictionary_decode())
+    out["term"].append(storage.from_strings(terms))
+    out["docnum"].append(storage.from_numpy(np.array(docs, dtype=np.uint64)))
+    out["weight"].append(storage.from_numpy(np.array(weights, dtype=np.float32)))
+    for name in ("positions", "chars", "boosts", "payload"):
+        values = blobs.get(name)
+        out[name].append(
+            pa.nulls(n, pa.binary()) if values is None else storage.from_strings(values, pa.binary())
+        )
+    out["len_byte"].append(storage.from_numpy(np.array(lens, dtype=np.uint8)))

@@ -1749,9 +1749,9 @@ class IndexSearcher:
             items = items[:limit]
         return pa.table(
             {
-                parent_field: pa.array([k for k, _ in items]),
-                "score": pa.array([v[0] for _, v in items], pa.float64()),
-                "n_children": pa.array([v[1] for _, v in items], pa.int64()),
+                parent_field: storage.from_numpy(np.array([k for k, _ in items], dtype=object)),
+                "score": storage.from_numpy(np.array([v[0] for _, v in items], np.float64)),
+                "n_children": storage.from_numpy(np.array([v[1] for _, v in items], np.int64)),
             }
         )
 

@@ -23,6 +23,7 @@ import re
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 
 def is_uri(path: str) -> bool:
@@ -175,10 +176,12 @@ def read_parquet(path: str, row_groups=None, metadata=None):
 #
 # pyarrow converts through its pandas layer: the first ``to_numpy()``,
 # ``pa.array(...)`` or ``pa.scalar(...)`` in a process imports pandas, about
-# 0.37 s, which a fresh segment actor would pay inside its first query.
-# The read path therefore converts only through the functions below, which
-# read the Arrow buffers directly and fall back to pyarrow only for types
-# they do not cover (tests/test_no_pandas.py holds query/ and state/ to it).
+# 0.37 s, which a fresh segment actor would pay inside its first query and
+# a client inside its first append.  The read path and the write stages
+# therefore convert only through the functions below, which read and build
+# the Arrow buffers directly and fall back to pyarrow only for types they
+# do not cover (tests/test_no_pandas.py holds query/, state/, stages/ and
+# the write tasks' modules to it).
 
 @functools.lru_cache(maxsize=None)
 def _view_dtype(t):
@@ -364,15 +367,47 @@ def from_numpy(values) -> pa.Array:
     if items is not None and all(v is None for v in items):
         return pa.nulls(n)  # pa.array's type for no values or only None
     if items is not None and all(v is None or type(v) is str for v in items):
-        enc = [b"" if v is None else v.encode("utf-8") for v in items]
-        offs = np.zeros(n + 1, np.int32)
-        np.cumsum([len(v) for v in enc], out=offs[1:])
-        bitmap, nulls = _bitmap(np.fromiter((v is not None for v in items), bool, n))
-        return pa.Array.from_buffers(
-            pa.string(), n, [bitmap, pa.py_buffer(offs), pa.py_buffer(b"".join(enc))],
-            null_count=nulls,
-        )
+        return from_strings(items)
     return pa.array(values)
+
+
+def from_strings(values: list, typ=pa.string()) -> pa.Array:
+    """``pa.array(values, typ)`` for a list of str (``typ`` string) or of
+    bytes (``typ`` binary), None for null, built from its buffers.
+
+    Strings are joined by NUL, encoded once and cut back apart by Arrow's
+    ``split_pattern``, about the speed of ``pa.array`` for a list of short
+    tokens; a list holding None or a string holding a NUL takes one
+    encode per value instead."""
+    n = len(values)
+    text = pa.types.is_string(typ)
+    if not n:
+        return pa.nulls(0, typ)
+    if text:
+        try:
+            data = "\x00".join(values).encode("utf-8")
+        except TypeError:  # a None among the values
+            pass
+        else:
+            one = _from_offsets(typ, np.array([0, len(data)], np.int32), data, None, 0)
+            out = pc.split_pattern(one, "\x00").flatten()
+            if len(out) == n:
+                return out
+    valid = np.fromiter((v is not None for v in values), bool, n)
+    empty = "" if text else b""
+    parts = [empty if v is None else v for v in values]
+    if text:
+        parts = [v.encode("utf-8") for v in parts]
+    offs = np.zeros(n + 1, np.int64)
+    np.cumsum(np.fromiter(map(len, parts), np.int64, n), out=offs[1:])
+    bitmap, nulls = _bitmap(valid)
+    return _from_offsets(typ, offs.astype(np.int32), b"".join(parts), bitmap, nulls)
+
+
+def _from_offsets(typ, offs: np.ndarray, data: bytes, bitmap, nulls: int) -> pa.Array:
+    return pa.Array.from_buffers(
+        typ, offs.size - 1, [bitmap, pa.py_buffer(offs), pa.py_buffer(data)], null_count=nulls
+    )
 
 
 def parquet_file(path: str, metadata=None):
