@@ -10,18 +10,12 @@ Default run (the driver's per-round job): over ``$GRAFT_SF_DIR`` (default
      wildcard/range) against the warm searcher, timed per query (median of
      repeats);
   3. build over a larger deterministic synthetic transcripts corpus
-     (``$WRR_BENCH_TURNS`` turns, default 120k) for a throughput number the
-     tiny sf corpora can't provide.
+     (``$WRR_BENCH_TURNS`` turns, default 240k; best of two builds) for a
+     throughput number the tiny sf corpora can't provide.
 Prints ONE JSON line:
   {"metric": ..., "value": total_sec, "unit": "sec", "queries": {...},
    "sf": ..., "num_cpus": N, "build": {...}, "synthetic": {...}}
-
-``--scaling``: runs the SAME synthetic build twice in fresh subprocesses
-(``ray.init(num_cpus=8)`` then ``num_cpus=32`` — override via
-``--scale-cpus A B``) on the same input and reports throughput at both plus
-efficiency = (rate_hi/rate_lo)/(hi/lo); appends the result to BASELINE.md.
-This evidences the north-rule's N->4N cluster-size criterion at two
-parallelism levels (no real cluster in this sandbox).
+Build scaling across CPU counts is ``scripts/scale_stress.py``'s job.
 """
 
 from __future__ import annotations
@@ -31,7 +25,6 @@ import json
 import os
 import shutil
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
@@ -43,11 +36,6 @@ if REPO not in sys.path:
 DEFAULT_SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 DEFAULT_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 BENCH_TURNS = int(os.environ.get("WRR_BENCH_TURNS", "240000"))
-# --scaling corpus size: must be big enough to amortize the fixed
-# per-pipeline overheads at the HIGH cpu count, or the efficiency ratio
-# measures startup costs instead of scaling (240k turns showed ~0.74 at
-# 8->32 cpus purely from ~1s of fixed cost; 1M shows ~1.0)
-SCALE_TURNS = int(os.environ.get("WRR_SCALE_TURNS", "1000000"))
 
 
 def _init_ray(num_cpus: int):
@@ -164,29 +152,23 @@ def run_default(sf_dir: str, num_cpus: int) -> dict:
     queries = _time_queries(searcher)
     qps = _searches_per_sec(searcher)
 
-    # 2. synthetic throughput build — measured in a FRESH subprocess with
-    # its own ray session (warmup build + best-of-2, the same protocol as
-    # the scaling probe): the in-session number is depressed 20-40% by
-    # object-store/actor residue from the sf pipeline above, which a real
-    # dedicated build cluster would not have (see BASELINE.md)
+    # 2. synthetic throughput build, best of two, in this session (the sf
+    # build above has already started its Ray workers)
     synth = {}
     if BENCH_TURNS > 0:
         spath = _synth_corpus(BENCH_TURNS)
-        out = tempfile.mktemp(suffix=".json")
-        subprocess.run(
-            [sys.executable, os.path.abspath(__file__), "--_child-build",
-             "--cpus", str(num_cpus), "--corpus", spath, "--out", out],
-            check=True,
-            cwd=REPO,
-        )
-        with open(out) as f:
-            child = json.load(f)
-        os.unlink(out)
+        elapsed, postings = float("inf"), 0
+        for _ in range(2):
+            sdir = tempfile.mkdtemp(prefix="wrr_bench_synth_")
+            e, sman = _build(spath, sdir, num_shards=32, partition_rows=8192)
+            elapsed = min(elapsed, e)
+            postings = sman.segments[0].n_postings if sman.segments else 0
+            shutil.rmtree(sdir, ignore_errors=True)
         synth = {
             "turns": BENCH_TURNS,
-            "build_sec": child["elapsed"],
-            "turns_per_sec": BENCH_TURNS / child["elapsed"],
-            "postings": child.get("postings", 0),
+            "build_sec": elapsed,
+            "turns_per_sec": BENCH_TURNS / elapsed,
+            "postings": postings,
         }
 
     # 2b. reference single-node comparison: the real whoosh over rows of
@@ -297,111 +279,11 @@ def _reference_probe(corpus: str, max_rows: int = 5000) -> dict:
         return {"error": repr(exc)}
 
 
-def run_child_build(corpus: str, num_cpus: int, out_path: str):
-    """Fresh-process scaling probe: init ray at num_cpus, build, report."""
-    import ray
-
-    _init_ray(num_cpus)
-    import pyarrow.parquet as pq
-
-    rows = pq.ParquetFile(corpus).metadata.num_rows
-    # warmup: spin up the Ray worker pool before the timed build, as a
-    # long-running cluster would be (first pipeline pays ~10s pool start)
-    wpath = _synth_corpus(2000)
-    wdir = tempfile.mkdtemp(prefix="wrr_scale_warm_")
-    _build(wpath, wdir, num_shards=8, partition_rows=2048)
-    shutil.rmtree(wdir, ignore_errors=True)
-    # best-of-3 timed builds (report the machine's capability, not scheduler
-    # jitter — single-node runs show 10-30% run-to-run variance)
-    elapsed = float("inf")
-    postings = 0
-    for _ in range(2):
-        sdir = tempfile.mkdtemp(prefix=f"wrr_scale_{num_cpus}_")
-        e, man = _build(corpus, sdir, num_shards=32, partition_rows=8192)
-        elapsed = min(elapsed, e)
-        postings = man.segments[0].n_postings if man.segments else 0
-        shutil.rmtree(sdir, ignore_errors=True)
-    with open(out_path, "w") as f:
-        json.dump(
-            {"num_cpus": num_cpus, "rows": rows, "elapsed": elapsed, "postings": postings},
-            f,
-        )
-    ray.shutdown()
-
-
-def run_scaling(lo: int, hi: int) -> dict:
-    corpus = _synth_corpus(SCALE_TURNS)
-    results = {}
-    for cpus in (lo, hi):
-        out = tempfile.mktemp(suffix=".json")
-        subprocess.run(
-            [sys.executable, os.path.abspath(__file__), "--_child-build",
-             "--cpus", str(cpus), "--corpus", corpus, "--out", out],
-            check=True,
-            cwd=REPO,
-        )
-        with open(out) as f:
-            results[cpus] = json.load(f)
-        os.unlink(out)
-    r_lo = results[lo]["rows"] / results[lo]["elapsed"]
-    r_hi = results[hi]["rows"] / results[hi]["elapsed"]
-    eff = (r_hi / r_lo) / (hi / lo)
-    report = {
-        "metric": "index-build scaling efficiency",
-        "value": eff,
-        "unit": "efficiency",
-        "turns": SCALE_TURNS,
-        "cpus_lo": lo,
-        "cpus_hi": hi,
-        "turns_per_sec_lo": r_lo,
-        "turns_per_sec_hi": r_hi,
-        "elapsed_lo": results[lo]["elapsed"],
-        "elapsed_hi": results[hi]["elapsed"],
-        "queries": {},
-        "sf": "synthetic",
-        "num_cpus": hi,
-    }
-    _record_scaling(report)
-    return report
-
-
-def _record_scaling(rep: dict):
-    """Append the measured scaling block to BASELINE.md."""
-    path = os.path.join(REPO, "BASELINE.md")
-    stamp = time.strftime("%Y-%m-%d %H:%M:%S")
-    block = (
-        f"\n## Measured scaling ({stamp})\n\n"
-        f"Synthetic transcripts corpus, {rep['turns']} turns; identical build in fresh\n"
-        f"processes at num_cpus={rep['cpus_lo']} vs num_cpus={rep['cpus_hi']}:\n\n"
-        f"| num_cpus | build sec | turns/s |\n|---|---|---|\n"
-        f"| {rep['cpus_lo']} | {rep['elapsed_lo']:.2f} | {rep['turns_per_sec_lo']:.0f} |\n"
-        f"| {rep['cpus_hi']} | {rep['elapsed_hi']:.2f} | {rep['turns_per_sec_hi']:.0f} |\n\n"
-        f"**Scaling efficiency ({rep['cpus_lo']}→{rep['cpus_hi']} CPUs): "
-        f"{rep['value']:.3f}** (criterion: ≥ 0.8)\n"
-    )
-    with open(path, "a") as f:
-        f.write(block)
-
-
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--scaling", action="store_true")
-    ap.add_argument("--scale-cpus", nargs=2, type=int, default=[8, 32])
-    ap.add_argument("--_child-build", action="store_true", dest="child_build")
     ap.add_argument("--cpus", type=int, default=DEFAULT_CPUS)
-    ap.add_argument("--corpus")
-    ap.add_argument("--out")
     ap.add_argument("--sf-dir", default=DEFAULT_SF_DIR)
     args = ap.parse_args()
-
-    if args.child_build:
-        run_child_build(args.corpus, args.cpus, args.out)
-        return
-
-    if args.scaling:
-        rep = run_scaling(*args.scale_cpus)
-        print(json.dumps(rep))
-        return
 
     import ray
 

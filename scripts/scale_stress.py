@@ -2,8 +2,9 @@
 """10x scale-stress proof (round-5 VERDICT item 1).
 
 Runs the full-text engine one order of magnitude above the per-round
-bench: a 10M-turn index build + query set (vs the 1M-turn scaling probe),
-and the N->4N scaling criterion re-measured AT the 10x size.
+bench: a 10M-turn index build + query set (BASELINE.md's older scaling
+probes used 1M), and the N->4N scaling criterion measured at that size.
+It is the repository's one scaling tool.
 
 Every phase runs in a FRESH subprocess that owns its own Ray session, so
   * peak driver RSS (resource.getrusage ru_maxrss) is per-phase — the

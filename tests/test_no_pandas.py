@@ -9,10 +9,11 @@ Arrow buffers instead.  Here: they equal pyarrow's own conversions; a
 fresh local process and fresh segment actors answer every query kind, a
 sorted search and a facet search with pandas never imported; a fresh
 process appends a 512-row batch (read, tokenized and written in that
-process) with pandas never imported; and query/, state/, stages/ and the
-write tasks' modules (pipelines/build.py, pipelines/merge.py) call no
-pandas-backed conversion outside the converters, nor Arrow's ``group_by``
-or ``pq.read_table``, which load ``pyarrow.dataset`` and with it pandas.  Segment actors also
+process) and deletes a term with pandas never imported; and query/,
+state/, stages/ and the write modules (pipelines/build.py, merge.py and
+write_ops.py) call no pandas-backed conversion outside the converters, nor
+Arrow's ``group_by`` or ``pq.read_table``, which load ``pyarrow.dataset``
+and with it pandas.  Segment actors also
 leave the query-string parser unimported: ``query/__init__.py`` loads it
 on first use."""
 
@@ -242,9 +243,10 @@ def test_local_searches_never_import_pandas(idx_dir):
 
 
 def test_fresh_process_appends_without_importing_pandas(ray_session, tmp_path):
-    """A tiny index, then a 512-row append in a fresh process: one
-    partition and one shard, so the process reads, tokenizes and writes
-    it itself, and never imports pandas."""
+    """A tiny index, then a 512-row append and a delete in a fresh
+    process: the append is one partition and one shard, so the process
+    reads, tokenizes and writes it itself; the delete searches and writes
+    tombstones; neither imports pandas."""
     from whoosh_reloaded_ray.pipelines.build import build_index
     from whoosh_reloaded_ray.sources.corpus import generate_transcripts
 
@@ -253,18 +255,21 @@ def test_fresh_process_appends_without_importing_pandas(ray_session, tmp_path):
     generate_transcripts(batch, n_turns=512, avg_turn_words=20, seed=4, rows_per_file=512)
     idx = str(tmp_path / "idx")
     build_index([base], idx, num_shards=2, partition_rows=100)
+    # "abcv" occurs in 81 of the batch's 512 turns
     script = (
         "import json, sys\n"
         "from whoosh_reloaded_ray.pipelines import write_ops\n"
         f"man = write_ops.append_documents({idx!r}, [{batch!r}])\n"
-        "print(json.dumps([man.doc_count, man.segments[-1].num_shards, 'pandas' in sys.modules]))\n"
+        f"deleted = write_ops.delete_by_term({idx!r}, 'text', 'abcv')\n"
+        "print(json.dumps([man.doc_count, man.segments[-1].num_shards, deleted > 0,\n"
+        "                  'pandas' in sys.modules]))\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=300,
         cwd=REPO, env={**os.environ, "PYTHONPATH": REPO},
     )
     assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout.strip().splitlines()[-1]) == [712, 1, False]
+    assert json.loads(out.stdout.strip().splitlines()[-1]) == [712, 1, True, False]
 
 
 def test_segment_actors_never_import_pandas(idx_dir):
@@ -343,7 +348,9 @@ def _is_name(node, name: str) -> bool:
 
 
 def test_read_and_write_paths_convert_only_through_storage():
-    paths = [os.path.join(PKG, "pipelines", name) for name in ("build.py", "merge.py")]
+    paths = [
+        os.path.join(PKG, "pipelines", name) for name in ("build.py", "merge.py", "write_ops.py")
+    ]
     for sub in ("query", "state", "stages"):
         paths += [
             os.path.join(PKG, sub, name)

@@ -18,10 +18,10 @@ import os
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.parquet as pq
 
 from .._rayutil import remote_task
 from ..query import ast
+from ..state import storage
 from ..state.manifest import Manifest, commit_manifest, load_manifest
 from ..state.searcher import IndexSearcher
 
@@ -31,10 +31,8 @@ def _write_tombstones(index_dir: str, manifest: Manifest, docnums: np.ndarray) -
     merged = np.union1d(existing, docnums.astype(np.uint64))
     gen = manifest.generation + 1
     fname = f"tombstones-{gen:05d}.parquet"
-    from ..state import storage
-
     storage.write_parquet_atomic(
-        pa.table({"docnum": pa.array(merged, pa.uint64())}),
+        pa.table({"docnum": storage.from_numpy(merged)}),
         storage.join(index_dir, fname),
     )
     manifest.tombstones = fname
@@ -47,7 +45,7 @@ def delete_by_query(index_dir: str, q: ast.Query) -> int:
     count.  (reference delete_by_query, writing.py:334-342)"""
     s = IndexSearcher(index_dir)
     res = s.search(q, limit=None, scored=False)
-    docs = res["docnum"].to_numpy().astype(np.uint64)
+    docs = storage.as_numpy(res["docnum"]).astype(np.uint64)
     before = s.manifest.load_tombstones(index_dir)
     new = np.setdiff1d(docs, before)
     if new.size:
@@ -152,7 +150,7 @@ def _partition_key_matches(part, unique_fields, incoming) -> np.ndarray:
     # ~ |incoming ∩ partition|, tiny next to the partition)
     inc_tbl: pa.Table = incoming["table"]
     inc_keys = set(zip(*[inc_tbl[f].to_pylist() for f in unique_fields]))
-    cand = tbl.take(pa.array(cand_idx))
+    cand = tbl.take(storage.from_numpy(cand_idx))
     keep = np.fromiter(
         (k in inc_keys for k in zip(*[cand[f].to_pylist() for f in unique_fields])),
         dtype=bool,
@@ -187,7 +185,7 @@ def update_documents(
     manifest = load_manifest(index_dir)
     if manifest is None:
         raise FileNotFoundError(f"no committed manifest in {index_dir}")
-    incoming = pq.read_table(source_path, columns=list(unique_fields))
+    incoming = storage.parquet_file(source_path).read(columns=list(unique_fields))
     dels = np.empty(0, np.uint64)
     if incoming.num_rows and manifest.segments:
         payload_ref = ray.put(
